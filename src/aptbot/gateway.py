@@ -9,12 +9,10 @@ session after the backend call succeeds.
 
 from __future__ import annotations
 
-import itertools
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Protocol
-
-import requests
 
 
 class GatewayError(Exception):
@@ -43,16 +41,12 @@ class ChatMessage:
             raise ValueError(f"unknown chat role: {self.role!r}")
 
 
-_session_ids = itertools.count(1)
-
-
 @dataclass
 class Session:
     """Conversation state: an optional pinned system message plus turn pairs."""
 
     pinned: ChatMessage | None = None
     turns: list[ChatMessage] = field(default_factory=list)
-    session_id: int = field(default_factory=lambda: next(_session_ids))
 
     def append_pair(self, user_text: str, assistant_text: str) -> None:
         self.turns.append(ChatMessage("user", user_text))
@@ -239,38 +233,56 @@ class HTTPBackend:
         self.retries = retries
 
     def generate(self, messages: list[ChatMessage], params: GenerationParams) -> str:
-        body = {
-            "model": params.model_name,
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
-            "temperature": params.temperature,
-            "max_tokens": params.max_output_tokens,
+        # The network stack is imported here, not at module top, so that
+        # importing aptbot or running a scripted scenario never loads it.
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        body = json.dumps(
+            {
+                "model": params.model_name,
+                "messages": [{"role": m.role, "content": m.content} for m in messages],
+                "temperature": params.temperature,
+                "max_tokens": params.max_output_tokens,
+            }
+        ).encode()
+        headers = {
+            "Authorization": f"Bearer {self.api_key}",
+            "Content-Type": "application/json",
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error: Exception | None = None
         for _ in range(self.retries + 1):
             try:
-                response = requests.post(
-                    self.url, json=body, headers=headers, timeout=self.timeout
+                request = urllib.request.Request(
+                    self.url, data=body, headers=headers, method="POST"
                 )
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    status, raw = response.status, response.read()
                 break
-            except requests.RequestException as exc:
+            except urllib.error.HTTPError as exc:
+                # A non-2xx reply is an answer from the backend, not a
+                # transport failure: take its status and body, no retry.
+                with exc:
+                    status, raw = exc.code, exc.read()
+                break
+            # URLError, timeouts and refused connections are all OSError;
+            # ValueError covers a malformed URL or header value.
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = exc
         else:
             raise BackendError(f"transport failure after retry: {last_error}")
-        if response.status_code == 401:
+        text = raw.decode("utf-8", errors="replace")
+        if status == 401:
             raise BackendError("backend rejected credentials (status 401)")
-        if not 200 <= response.status_code < 300:
-            raise BackendError(
-                f"backend returned status {response.status_code}: {response.text[:200]}"
-            )
+        if not 200 <= status < 300:
+            raise BackendError(f"backend returned status {status}: {text[:200]}")
         try:
-            payload = response.json()
+            payload = json.loads(text)
             choices = payload["choices"]
             content = choices[0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise BackendError(
-                f"malformed completion payload: {response.text[:200]}"
-            ) from None
+            raise BackendError(f"malformed completion payload: {text[:200]}") from None
         if not isinstance(content, str):
             raise BackendError("completion content is not text")
         return content

@@ -8,6 +8,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 class StubChatServer:
     """Captures request bodies and replays queued (status, payload) responses.
 
+    A payload given as bytes is sent verbatim; anything else is sent as JSON.
+
     When the queue is empty, responds 200 with a fixed completion echoing
     the call count.
     """
@@ -37,7 +39,10 @@ class StubChatServer:
                             }
                         ]
                     }
-                body = json.dumps(payload).encode()
+                if isinstance(payload, bytes):
+                    body = payload
+                else:
+                    body = json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))

@@ -82,7 +82,9 @@ def test_criterion_1_medication_replay(tmp_path):
     with criterion(1, "medication scenario replay"):
         out = tmp_path / "replay"
         started = time.monotonic()
-        with mock.patch("requests.post", side_effect=AssertionError("network hit")):
+        with mock.patch(
+            "socket.create_connection", side_effect=AssertionError("network hit")
+        ):
             from aptbot.cli import run_scenario
 
             scenario = load_scenario(SCENARIO_PATH)

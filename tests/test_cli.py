@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import GOLDEN_DIR, SCENARIO_PATH
+
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def run_cli(*args, stdin_text=None, cwd=None):
@@ -149,16 +153,37 @@ def test_repl_eof_exits_cleanly():
 
 
 def test_repl_without_scenario_requires_env(tmp_path):
+    env = {"PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     proc = subprocess.run(
         [sys.executable, "-m", "aptbot", "repl"],
         input="",
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin"},
+        env=env,
         timeout=60,
     )
     assert proc.returncode == 2
     assert "LCAC_API_URL" in proc.stderr
+
+
+def test_cli_import_loads_no_network_stack():
+    network = ("requests", "urllib3", "http.client", "urllib.request", "ssl", "socket")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import aptbot.cli, sys; "
+            f"print(' '.join(m for m in {network!r} if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_no_subcommand_exits_2():

@@ -1,3 +1,6 @@
+import urllib.error
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +243,60 @@ def test_http_backend_transport_failure_after_retry():
     with pytest.raises(BackendError) as exc_info:
         backend.generate([ChatMessage("user", "x")], PARAMS)
     assert "transport" in str(exc_info.value)
+
+
+def test_http_backend_retries_connection_errors_then_gives_up():
+    attempts = []
+
+    def refuse(request, timeout):
+        attempts.append(request.full_url)
+        raise urllib.error.URLError(ConnectionRefusedError("refused"))
+
+    backend = HTTPBackend("http://stub.invalid/v1", api_key="k", retries=2)
+    with mock.patch("urllib.request.urlopen", side_effect=refuse):
+        with pytest.raises(BackendError) as exc_info:
+            backend.generate([ChatMessage("user", "x")], PARAMS)
+    assert len(attempts) == 3
+    assert str(exc_info.value).startswith("transport failure after retry: ")
+
+
+def test_http_backend_malformed_url_is_a_transport_failure():
+    backend = HTTPBackend("not a url", api_key="k")
+    with pytest.raises(BackendError) as exc_info:
+        backend.generate([ChatMessage("user", "x")], PARAMS)
+    assert "transport failure" in str(exc_info.value)
+
+
+def test_http_backend_non_json_body_is_malformed():
+    with StubChatServer() as server:
+        server.queued.append((200, b"<html>not json</html>"))
+        backend = HTTPBackend(server.url, api_key="k")
+        with pytest.raises(BackendError) as exc_info:
+            backend.generate([ChatMessage("user", "x")], PARAMS)
+        assert str(exc_info.value) == (
+            "malformed completion payload: <html>not json</html>"
+        )
+        assert len(server.bodies) == 1
+
+
+def test_http_backend_error_status_carries_truncated_body():
+    body = b"overloaded " + b"x" * 300
+    with StubChatServer() as server:
+        server.queued.append((500, body))
+        backend = HTTPBackend(server.url, api_key="k")
+        with pytest.raises(BackendError) as exc_info:
+            backend.generate([ChatMessage("user", "x")], PARAMS)
+        assert str(exc_info.value) == (
+            f"backend returned status 500: {body[:200].decode()}"
+        )
+        assert len(server.bodies) == 1
+
+
+def test_http_backend_sends_json_content_type():
+    with StubChatServer() as server:
+        HTTPBackend(server.url, api_key="k").generate([ChatMessage("user", "x")], PARAMS)
+        headers = {k.lower(): v for k, v in server.headers[0].items()}
+        assert headers["content-type"] == "application/json"
 
 
 def test_http_backend_from_env_requires_url_and_key():
