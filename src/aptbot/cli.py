@@ -46,7 +46,6 @@ def render_transcript(turns: list[ChatMessage]) -> str:
 def fresh_arm(scenario_world) -> ZArmState:
     return ZArmState(
         location=scenario_world.charging_room,
-        capacity=scenario_world.capacity,
         docked=True,
         charging=True,
     )

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
 from .validator import DurationModel, Goal
-from .world import WorldError, WorldModel, item_facility, travel_time
+from .world import WorldError, WorldModel, item_location, travel_time
 
 MAX_WAYPOINTS = 8
 
@@ -24,17 +24,17 @@ class UnachievableGoalError(ValueError):
         self.missing = missing
 
 
-def _waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int]]:
-    """(room, item, qty) per required item; fails listing unstocked items."""
+def _waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
+    """(room, item, qty, facility kind) per required item; fails listing unstocked items."""
     missing = []
     out = []
     for item, qty in goal.deliveries:
         try:
-            facility = item_facility(world, item)
+            facility = item_location(world, item)
         except WorldError:
             missing.append(item)
             continue
-        out.append((facility.location, item, qty))
+        out.append((facility.location, item, qty, facility.kind))
     if missing:
         raise UnachievableGoalError(missing)
     return out
@@ -45,7 +45,7 @@ def _build(
     goal: Goal,
     durations: DurationModel,
     start: tuple[str, int],
-    order: tuple[tuple[str, str, int], ...],
+    order: tuple[tuple[str, str, int, str], ...],
     start_docked: bool,
 ) -> tuple[ActionPlan, int | None, int] | None:
     """Earliest-feasible chain for one waypoint order, shifted toward the target.
@@ -65,10 +65,9 @@ def _build(
         t += travel_time(world, current, dest)
         current = dest
 
-    for wp_room, item, qty in order:
+    for wp_room, item, qty, kind in order:
         move_to(wp_room)
-        facility = item_facility(world, item)
-        if facility.kind == "water_cooler":
+        if kind == "water_cooler":
             for _ in range(qty):
                 actions.append(TimedAction(t, Fill("glass", item)))
                 t += durations.fill_min
@@ -115,7 +114,7 @@ def _candidates(
     waypoints = sorted(_waypoints(world, goal))
     if len(waypoints) > max_waypoints:
         raise ValueError(f"too many waypoints: {len(waypoints)} > {max_waypoints}")
-    seen: set[tuple[tuple[str, str, int], ...]] = set()
+    seen: set[tuple[tuple[str, str, int, str], ...]] = set()
     out = []
     for order in permutations(waypoints):
         if order in seen:
@@ -125,8 +124,8 @@ def _candidates(
         if built is None:
             continue
         plan, delivery, completion = built
-        rooms = tuple(room for room, _, _ in order)
-        items = tuple(item for _, item, _ in order)
+        rooms = tuple(wp[0] for wp in order)
+        items = tuple(wp[1] for wp in order)
         out.append((rooms, items, plan, delivery, completion))
     out.sort(key=lambda c: (c[0], c[1]))
     return out

@@ -220,9 +220,9 @@ def serialize_plan(plan: ActionPlan) -> str:
 def required_room(action: Action, world: WorldModel) -> str | None:
     """Room the action must happen in; None when any room works."""
     if isinstance(action, Pick):
-        return item_location(world, action.item)
+        return item_location(world, action.item).location
     if isinstance(action, Fill):
-        return item_location(world, action.source)
+        return item_location(world, action.source).location
     if isinstance(action, Deliver):
         if action.dest not in world.rooms:
             raise WorldError(f"unknown room {action.dest!r}")

@@ -1,11 +1,12 @@
 """Deterministic discrete-event execution of a validated plan.
 
 The simulator trusts plan timestamps (the validator already checked them):
-gaps between completion and the next start are idle waiting. Impossible
-actions produce an in-band `fault` event and halt the run instead of
-raising, so transcripts stay replayable and the agent loop can feed the
-fault back to the model. Inputs are never mutated; stock and arm state are
-copied into the run.
+gaps between completion and the next start are idle waiting. Actions obey
+the validator's world rules (`check`, `apply`). The first problem halts the
+run with an in-band `fault` event, before that action changes anything. On
+a world with a charging port `execute` raises for no plan, so transcripts
+stay replayable and the agent loop can feed the fault back to the model.
+Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .plan import (
     Wait,
     items_text,
 )
-from .validator import DurationModel
-from .world import SensorReading, WorldModel, ZArmState, read_sensors, travel_time
+from .validator import DurationModel, apply, check, start_run
+from .world import WorldModel, ZArmState
 
 COMPLETED = "completed"
 FAULT = "fault"
@@ -57,112 +58,66 @@ def render_event_log(log: EventLog) -> str:
     return "\n".join(log.lines())
 
 
-def snapshot(world: WorldModel, arm: ZArmState, clock: int) -> list[SensorReading]:
-    return read_sensors(world, arm, clock)
-
-
 def execute(
     plan: ActionPlan,
     world: WorldModel,
     arm: ZArmState,
     durations: DurationModel,
 ) -> EventLog:
-    state = replace(arm, payload=list(arm.payload))
-    stock: dict[tuple[str, str], int | None] = {}
-    for f in world.facilities:
-        for item, qty in f.stock.items():
-            stock[(f.location, item)] = qty
-    payload: dict[str, int] = dict(state.payload)
-    delivered: dict[str, dict[str, int]] = {}
+    run = start_run(world, arm.location, arm.docked, arm.payload)
+    state = replace(arm)  # the arm's charging flag; the rest comes from `run`
     events: list[Event] = []
     clock = world.clock_start
 
+    def finish(outcome: str) -> EventLog:
+        state.location, state.docked = run.location, run.docked
+        state.payload = sorted(run.payload.items())
+        return EventLog(events, state, outcome, run.delivered)
+
     def fault(time: int, reason: str) -> EventLog:
         events.append(Event(min(time, MINUTES_PER_DAY - 1), FAULT, reason))
-        state.payload = sorted(payload.items())
-        return EventLog(events, state, FAULT, delivered)
+        return finish(FAULT)
 
-    for ta in plan.actions:
+    for i, ta in enumerate(plan.actions):
         t, action = ta.start, ta.action
         if t < clock:
             return fault(clock, f"action at {format_clock(t)} is already in the past")
 
-        if isinstance(action, Move):
+        kind = type(action)
+        if kind is Move:
             if action.dest not in world.rooms:
                 return fault(t, f"unknown room {action.dest}")
-            minutes = travel_time(world, state.location, action.dest)
-            arrive = t + minutes
+            arrive = t + world.travel[(run.location, action.dest)]  # both rooms known
             if arrive >= MINUTES_PER_DAY:
                 return fault(t, "plan runs past midnight")
-            events.append(Event(t, "depart", f"{state.location} -> {action.dest}"))
+            events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))
             events.append(Event(arrive, "arrive", action.dest))
-            state.location = action.dest
-            state.docked = False
             state.charging = False
-            clock = arrive
-        elif isinstance(action, Pick):
-            key = (state.location, action.item)
-            if key not in stock:
-                return fault(t, f"{action.item} not available in {state.location}")
-            remaining = stock[key]
-            if remaining is not None and remaining < action.qty:
-                return fault(t, f"stock exhausted: {action.item}")
-            if remaining is not None:
-                stock[key] = remaining - action.qty
-            payload[action.item] = payload.get(action.item, 0) + action.qty
-            if len(payload) > state.capacity:
-                return fault(t, "payload capacity exceeded")
+        elif kind is Deliver and run.location != action.dest:
+            return fault(t, f"not in {action.dest}")
+        elif kind is Dock and run.location != world.charging_room:
+            return fault(t, f"charging port not in {run.location}")
+        else:
+            problems = check(run, world, i, action)
+            if problems:
+                return fault(t, problems[0][1])
+        clock = t + apply(run, world, action, durations)
+        if kind is Pick:
             events.append(Event(t, "pick", f"{action.qty} {action.item}"))
-            clock = t + durations.pick_min
-        elif isinstance(action, Fill):
-            key = (state.location, action.source)
-            if key not in stock:
-                return fault(t, f"{action.source} not available in {state.location}")
-            remaining = stock[key]
-            if remaining is not None and remaining < 1:
-                return fault(t, f"stock exhausted: {action.source}")
-            if remaining is not None:
-                stock[key] = remaining - 1
-            payload[action.source] = payload.get(action.source, 0) + 1
-            if len(payload) > state.capacity:
-                return fault(t, "payload capacity exceeded")
+        elif kind is Fill:
             events.append(Event(t, "fill", f"{action.container} with {action.source}"))
-            clock = t + durations.fill_min
-        elif isinstance(action, Deliver):
-            if state.location != action.dest:
-                return fault(t, f"not in {action.dest}")
-            for item, qty in action.items:
-                if payload.get(item, 0) < qty:
-                    return fault(t, f"{item} not in payload")
-            room_deliveries = delivered.setdefault(action.dest, {})
-            for item, qty in action.items:
-                payload[item] -= qty
-                if payload[item] == 0:
-                    del payload[item]
-                room_deliveries[item] = room_deliveries.get(item, 0) + qty
-            events.append(
-                Event(t, "deliver", f"{items_text(action.items)} to {action.dest}")
-            )
-            clock = t + durations.deliver_min
-        elif isinstance(action, Dock):
-            if state.location != world.charging_room:
-                return fault(t, f"charging port not in {state.location}")
-            state.docked = True
+        elif kind is Deliver:
+            events.append(Event(t, "deliver", f"{items_text(action.items)} to {action.dest}"))
+        elif kind is Dock:
             events.append(Event(t, "dock", "at the charging port"))
-            clock = t + durations.dock_min
-        elif isinstance(action, Charge):
-            if not state.docked:
-                return fault(t, "not docked")
-            state.charging = True
+        elif kind is Charge:
             events.append(Event(t, "charge_start", ""))
-            clock = t
-        elif isinstance(action, Wait):
+            state.charging = True
+        elif kind is Wait:
             unit = "minute" if action.minutes == 1 else "minutes"
             events.append(Event(t, "wait", f"{action.minutes} {unit}"))
-            clock = t + action.minutes
 
         if clock >= MINUTES_PER_DAY:
             return fault(MINUTES_PER_DAY - 1, "plan runs past midnight")
 
-    state.payload = sorted(payload.items())
-    return EventLog(events, state, COMPLETED, delivered)
+    return finish(COMPLETED)

@@ -1,17 +1,20 @@
-"""Static feasibility checking of a canonical plan before execution.
+"""Static feasibility checking of a canonical plan, and the world rules.
 
 A timestamp is the action's start; completion = start + duration. The
-validator walks the whole plan and reports every violation it finds, never
-just the first, as stable `VIOLATION <kind> <fields>` lines the agent can
-feed back to the model.
+world rules (stock, payload, capacity, delivery, charging) live here once,
+in `check` and `apply`, which the simulator uses too. The validator walks
+the whole plan and reports every violation it finds, never just the first,
+as stable `VIOLATION <kind> <fields>` lines the agent can feed back.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
+    Action,
     ActionPlan,
     Charge,
     Deliver,
@@ -118,17 +121,91 @@ class ScheduledAction:
 class ValidationResult:
     schedule: list[ScheduledAction] | None
     violations: list[Violation] = field(default_factory=list)
+    delivered: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _action_room(action, world: WorldModel) -> str | None:
-    """Room a non-move action must run in; None when location-free."""
-    if isinstance(action, (Move, Wait)):
-        return None
-    return required_room(action, world)
+@dataclass(slots=True)
+class RunState:
+    """What a run changes. `stock` maps (room, item) to the quantity left
+    there, None for unbounded; `delivered` maps room -> item -> quantity."""
+
+    location: str
+    docked: bool
+    payload: dict[str, int]
+    stock: dict[tuple[str, str], int | None]
+    delivered: dict[str, dict[str, int]]
+
+
+def start_run(
+    world: WorldModel, location: str, docked: bool, payload: Iterable[tuple[str, int]] = ()
+) -> RunState:
+    """The arm at `location` carrying `payload`, and a copy of the world's stock."""
+    stock = {(f.location, i): q for f in world.facilities for i, q in f.stock.items()}
+    return RunState(location, docked, dict(payload), stock, {})
+
+
+def check(
+    run: RunState, world: WorldModel, index: int, action: Action
+) -> list[tuple[Violation, str]]:
+    """Each problem the plan's `index`-th action would hit, as a violation
+    and a simulator fault text; nothing changes. Whether the arm is in the
+    action's room is left to the caller."""
+    kind, room, problems = type(action), run.location, []
+    if kind is Pick or kind is Fill:
+        item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
+        left = run.stock.get((room, item), -1)  # -1: not stocked in this room
+        if left == -1:
+            problems.append(
+                (Violation.item_unavailable(item, room), f"{item} not available in {room}")
+            )
+        elif left is not None and left < qty:
+            problems.append((Violation.item_unavailable(item, room), f"stock exhausted: {item}"))
+        if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
+            problems.append((Violation.capacity_exceeded(index), "payload capacity exceeded"))
+    elif kind is Deliver:
+        wanted: dict[str, int] = {}
+        for item, qty in action.items:
+            wanted[item] = wanted.get(item, 0) + qty
+            if run.payload.get(item, 0) < wanted[item]:
+                problems.append((Violation.item_unavailable(item, room), f"{item} not in payload"))
+    elif kind is Charge and not run.docked:
+        problems.append((Violation.item_unavailable("charging_port", room), "not docked"))
+    return problems
+
+
+def apply(run: RunState, world: WorldModel, action: Action, durations: DurationModel) -> int:
+    """Carry `action` out on `run` as far as it can go; return its minutes.
+
+    Pick, Fill and Deliver go ahead on short stock or payload, so that the
+    validator can keep scanning; run `check` first to keep a step atomic."""
+    kind = type(action)
+    if kind is Move:
+        minutes = travel_time(world, run.location, action.dest)
+        run.location, run.docked = action.dest, False
+        return minutes
+    if kind is Pick or kind is Fill:
+        item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
+        left = run.stock.get((run.location, item))
+        if left is not None and left >= qty:
+            run.stock[(run.location, item)] = left - qty
+        run.payload[item] = run.payload.get(item, 0) + qty
+        return durations.pick_min if kind is Pick else durations.fill_min
+    if kind is Deliver:
+        dropped = run.delivered.setdefault(run.location, {})
+        for item, qty in action.items:
+            have = run.payload.pop(item, 0)
+            if have > qty:
+                run.payload[item] = have - qty
+            dropped[item] = dropped.get(item, 0) + min(have, qty)
+        return durations.deliver_min
+    if kind is Dock:
+        run.docked = True
+        return durations.dock_min
+    return action.minutes if kind is Wait else 0  # Charge takes no time
 
 
 def check_deadline(schedule: list[ScheduledAction], goal: Goal) -> Violation | None:
@@ -161,25 +238,16 @@ def validate(
     """Check the whole plan and return either its schedule or every violation.
 
     Checks, in order: chronology (including travel gaps after moves),
-    location continuity, stock availability, payload capacity, goal
-    coverage, the deadline window, and terminal docking. The plan should be
-    canonical (run `normalize` first); unknown rooms or items raise
-    WorldError since they indicate a non-normalized plan.
+    location continuity, the world rules of `check`, goal coverage, the
+    deadline window, and terminal docking. The plan should be canonical
+    (run `normalize` first); unknown rooms or items raise WorldError since
+    they indicate a non-normalized plan.
     """
     start_room, clock = start
     violations: list[Violation] = []
     schedule: list[ScheduledAction] = []
-
-    current = start_room
-    docked = start_docked
+    run = start_run(world, start_room, start_docked)
     wrapped = False
-    # item -> remaining stock (None = unbounded), per facility at its room
-    stock: dict[tuple[str, str], int | None] = {}
-    for f in world.facilities:
-        for item, qty in f.stock.items():
-            stock[(f.location, item)] = qty
-    payload: dict[str, int] = {}
-    delivered: dict[str, dict[str, int]] = {}
 
     prev_start = None
     prev_completion = clock
@@ -203,68 +271,18 @@ def validate(
                     violations.append(Violation.chronology(i))
 
         action = ta.action
-        if isinstance(action, Move):
-            minutes = travel_time(world, current, action.dest)
-            duration = minutes
-            current = action.dest
-            docked = False
-            prev_travel = minutes
-        else:
-            prev_travel = None
-            room = _action_room(action, world)
-            if room is not None and room != current:
-                needed = travel_time(world, current, room)
+        is_move = type(action) is Move
+        if not is_move:
+            room = required_room(action, world)
+            if room is not None and room != run.location:
+                needed = travel_time(world, run.location, room)
                 available = max(0, ta.start - prev_completion)
                 violations.append(Violation.travel_infeasible(i, needed, available))
-                current = room  # keep scanning from where the action assumes
-            if isinstance(action, Pick):
-                duration = durations.pick_min
-                remaining = stock.get((current, action.item))
-                if (current, action.item) not in stock or (
-                    remaining is not None and remaining < action.qty
-                ):
-                    violations.append(Violation.item_unavailable(action.item, current))
-                elif remaining is not None:
-                    stock[(current, action.item)] = remaining - action.qty
-                payload[action.item] = payload.get(action.item, 0) + action.qty
-                if len(payload) > world.capacity:
-                    violations.append(Violation.capacity_exceeded(i))
-            elif isinstance(action, Fill):
-                duration = durations.fill_min
-                remaining = stock.get((current, action.source))
-                if (current, action.source) not in stock or (
-                    remaining is not None and remaining < 1
-                ):
-                    violations.append(Violation.item_unavailable(action.source, current))
-                elif remaining is not None:
-                    stock[(current, action.source)] = remaining - 1
-                payload[action.source] = payload.get(action.source, 0) + 1
-                if len(payload) > world.capacity:
-                    violations.append(Violation.capacity_exceeded(i))
-            elif isinstance(action, Deliver):
-                duration = durations.deliver_min
-                room_deliveries = delivered.setdefault(current, {})
-                for item, qty in action.items:
-                    have = payload.get(item, 0)
-                    if have < qty:
-                        violations.append(Violation.item_unavailable(item, current))
-                    taken = min(have, qty)
-                    if taken:
-                        payload[item] = have - taken
-                        if payload[item] == 0:
-                            del payload[item]
-                    room_deliveries[item] = room_deliveries.get(item, 0) + taken
-            elif isinstance(action, Dock):
-                duration = durations.dock_min
-                docked = True
-            elif isinstance(action, Charge):
-                duration = 0
-                if not docked:
-                    violations.append(
-                        Violation.item_unavailable("charging_port", current)
-                    )
-            elif isinstance(action, Wait):
-                duration = action.minutes
+                run.location = room  # keep scanning from where the action assumes
+            for violation, _ in check(run, world, i, action):
+                violations.append(violation)
+        duration = apply(run, world, action, durations)
+        prev_travel = duration if is_move else None
 
         completion = ta.start + duration
         if completion >= MINUTES_PER_DAY and not wrapped:
@@ -276,7 +294,7 @@ def validate(
 
     missing = []
     for item, qty in goal.deliveries:
-        got = delivered.get(goal.destination, {}).get(item, 0)
+        got = run.delivered.get(goal.destination, {}).get(item, 0)
         if got < qty:
             missing.append((item, qty - got))
     if missing:
@@ -286,9 +304,7 @@ def validate(
     if deadline is not None:
         violations.append(deadline)
 
-    if goal.require_terminal_dock and not docked:
+    if goal.require_terminal_dock and not run.docked:
         violations.append(Violation.not_docked_at_end())
 
-    if violations:
-        return ValidationResult(None, violations)
-    return ValidationResult(schedule, [])
+    return ValidationResult(None if violations else schedule, violations, run.delivered)

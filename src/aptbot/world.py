@@ -1,15 +1,15 @@
 """Apartment model: rooms, travel times, facilities, the z-arm, and sensors.
 
 Single source of truth shared by the validator, the simulator, and the
-oracle planner. Worlds are immutable after construction; the simulator
-copies mutable stock into its own run state.
+oracle planner. Worlds are immutable and stock each item in one facility
+only; a run copies the stock into its own `validator.RunState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clock import format_clock, parse_clock
+from .clock import MINUTES_PER_DAY, ClockParseError, format_clock, parse_clock
 
 DEFAULT_ROOMS = ("living_room", "bedroom", "kitchen", "bathroom", "storeroom")
 
@@ -45,12 +45,20 @@ class WorldModel:
         for room in self.rooms:
             if self.travel.get((room, room), 0) != 0:
                 raise WorldError(f"travel diagonal must be 0 for {room}")
+        if type(self.clock_start) is not int or not 0 <= self.clock_start < MINUTES_PER_DAY:
+            raise WorldError(f"clock_start must be a time of day, got {self.clock_start!r}")
+        if type(self.capacity) is not int or self.capacity < 0:
+            raise WorldError(f"capacity must be a non-negative integer, got {self.capacity!r}")
+        stocked: set[str] = set()
         for f in self.facilities:
             if f.location not in self.rooms:
                 raise WorldError(f"facility {f.kind} placed in unknown room {f.location}")
             for item, qty in f.stock.items():
-                if qty is not None and qty < 0:
-                    raise WorldError(f"negative stock for {item} in {f.kind}")
+                if qty is not None and (type(qty) is not int or qty < 0):
+                    raise WorldError(f"stock of {item} in {f.kind} must be null or an int >= 0")
+                if item in stocked:
+                    raise WorldError(f"item {item!r} stocked in more than one facility")
+                stocked.add(item)
 
     @property
     def charging_room(self) -> str:
@@ -112,17 +120,8 @@ def travel_time(world: WorldModel, from_room: str, to_room: str) -> int:
     return world.travel[(from_room, to_room)]
 
 
-def item_location(world: WorldModel, item: str) -> str:
-    """Room of the single facility stocking the item."""
-    rooms = [f.location for f in world.facilities if item in f.stock]
-    if not rooms:
-        raise WorldError(f"unknown item {item!r}")
-    if len(rooms) > 1:
-        raise WorldError(f"item {item!r} stocked in more than one facility")
-    return rooms[0]
-
-
-def item_facility(world: WorldModel, item: str) -> Facility:
+def item_location(world: WorldModel, item: str) -> Facility:
+    """The one facility stocking the item; its room is `.location`."""
     for f in world.facilities:
         if item in f.stock:
             return f
@@ -191,9 +190,8 @@ def world_from_config(config: dict) -> WorldModel:
     if "facilities" in config:
         facilities = []
         for entry in config["facilities"]:
-            extra = set(entry) - {"kind", "location", "stock"}
-            if extra:
-                raise WorldError(f"unknown facility keys: {sorted(extra)}")
+            if not {"kind", "location"} <= set(entry) <= {"kind", "location", "stock"}:
+                raise WorldError(f"facility needs kind and location, and may have stock: {entry}")
             facilities.append(
                 Facility(entry["kind"], entry["location"], dict(entry.get("stock", {})))
             )
@@ -216,7 +214,10 @@ def world_from_config(config: dict) -> WorldModel:
 
     clock_start = config.get("clock_start", base.clock_start)
     if isinstance(clock_start, str):
-        clock_start = parse_clock(clock_start)
+        try:
+            clock_start = parse_clock(clock_start)
+        except ClockParseError as exc:
+            raise WorldError(f"clock_start: {exc}") from None
 
     return WorldModel(
         rooms=rooms,

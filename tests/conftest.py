@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,18 @@ from aptbot.world import default_world
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIO_PATH = Path(__file__).parent.parent / "scenarios" / "medication.scenario"
+SRC_DIR = Path(__file__).parent.parent / "src"
+
+
+def child_env(base=None) -> dict:
+    """Environment for a child Python process that imports aptbot from `src`.
+
+    Starts from `base` (default: this process's environment) and puts `src`
+    first on PYTHONPATH, so subprocess tests run from a bare checkout.
+    """
+    env = dict(os.environ if base is None else base)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    return env
 
 CANONICAL_PLAN = """[9:56pm] Move to the storeroom
 [9:58pm] Pick 2 aspirin

@@ -53,7 +53,7 @@ from aptbot.scenario import load_scenario, parse_scenario
 from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import ZArmState, world_from_config
-from conftest import CANONICAL_PLAN, GOLDEN_DIR, SCENARIO_PATH
+from conftest import CANONICAL_PLAN, GOLDEN_DIR, SCENARIO_PATH, child_env
 from stub_server import StubChatServer
 
 
@@ -108,6 +108,7 @@ def test_criterion_1_medication_replay(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-from conftest import GOLDEN_DIR, SCENARIO_PATH
+import pytest
 
-SRC_DIR = Path(__file__).parent.parent / "src"
+from conftest import GOLDEN_DIR, SCENARIO_PATH, child_env
 
 
 def run_cli(*args, stdin_text=None, cwd=None):
@@ -16,6 +14,7 @@ def run_cli(*args, stdin_text=None, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=child_env(),
         timeout=60,
     )
 
@@ -63,6 +62,42 @@ def test_run_unfulfilled_request_exits_1(tmp_path):
     assert proc.stdout == "request 1: rejected_unknown_type\n"
     assert (tmp_path / "out" / "request_001" / "plan.txt").read_text() == ""
     assert (tmp_path / "out" / "request_001" / "events.txt").read_text() == ""
+
+
+DEFAULT_FACILITIES = [
+    {"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}},
+    {"kind": "medicine_box", "location": "storeroom", "stock": {"aspirin": 10}},
+    {"kind": "charging_port", "location": "living_room"},
+]
+
+
+@pytest.mark.parametrize(
+    "world",
+    [
+        {"facilities": [*DEFAULT_FACILITIES, {"kind": "fridge", "stock": {"milk": 2}}]},
+        {"capacity": "two"},
+        {"clock_start": 99999},
+        {"clock_start": "25:00pm"},
+        {"stock": {"medicine_box": {"aspirin": "ten"}}},
+        {
+            "facilities": [
+                *DEFAULT_FACILITIES,
+                {"kind": "fridge", "location": "bedroom", "stock": {"water": 3}},
+            ]
+        },
+    ],
+    ids=["facility-without-location", "capacity-not-int", "clock-start-out-of-day",
+         "clock-start-malformed", "stock-not-int", "item-in-two-facilities"],
+)
+def test_run_rejects_bad_world_section_with_exit_2(tmp_path, world):
+    scenario = json.loads(SCENARIO_PATH.read_text())
+    scenario["world"] = world
+    path = tmp_path / "bad_world.scenario"
+    path.write_text(json.dumps(scenario))
+    proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: world section:")
 
 
 def test_validate_ok_prints_schedule(tmp_path):
@@ -153,15 +188,12 @@ def test_repl_eof_exits_cleanly():
 
 
 def test_repl_without_scenario_requires_env(tmp_path):
-    env = {"PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     proc = subprocess.run(
         [sys.executable, "-m", "aptbot", "repl"],
         input="",
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env({"PATH": "/usr/bin:/bin"}),
         timeout=60,
     )
     assert proc.returncode == 2
@@ -179,7 +211,7 @@ def test_cli_import_loads_no_network_stack():
         ],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,14 @@
 import copy
+import random
 
-from aptbot.plan import normalize, parse_plan
+from aptbot.clock import parse_clock
+from aptbot.oracle import plan_oracle
+from aptbot.plan import ActionPlan, TimedAction, normalize, parse_plan, serialize_plan
 from aptbot.simulator import COMPLETED, FAULT, execute, render_event_log
-from aptbot.validator import DurationModel
+from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
+from test_acceptance import _random_plan
 
 GOLDEN_EVENTS = """9:56pm depart living_room -> storeroom
 9:58pm arrive storeroom
@@ -131,6 +135,13 @@ def test_fault_when_plan_runs_past_midnight(world):
     assert log.events[-1].detail == "plan runs past midnight"
 
 
+def test_move_past_midnight_faults_before_leaving(world):
+    log = _run_raw("[11:59pm] Move to the kitchen", world)
+    assert [e.line() for e in log.events] == ["11:59pm fault plan runs past midnight"]
+    assert log.final_state.location == "living_room"
+    assert log.final_state.docked
+
+
 def test_wait_emits_single_event(world):
     log = _run("[9:56pm] Wait 2 minutes", world)
     assert log.outcome == COMPLETED
@@ -152,3 +163,119 @@ def test_item_conservation_with_finite_stock(world):
     assert delivered == 1
     assert carried == 1
     assert delivered + carried == initial - 8
+
+
+def test_capacity_comes_from_the_world_not_the_arm():
+    world = world_from_config({"capacity": 1, "clock_start": "9:54pm"})
+    text = "[9:56pm] Move to the storeroom\n[9:58pm] Pick 1 aspirin\n[9:59pm] Pick 1 ibuprofen"
+    plan = normalize(parse_plan(text), world, "living_room")
+    goal = Goal((), "living_room", parse_clock("10:10pm"), require_terminal_dock=False)
+    start = ("living_room", world.clock_start)
+    result = validate(plan, world, goal, DurationModel(), start, start_docked=True)
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION CapacityExceeded index=2"
+    ]
+    arm = _arm()
+    assert arm.capacity == 2
+    log = execute(plan, world, arm, DurationModel())
+    assert log.outcome == FAULT
+    assert log.events[-1].detail == "payload capacity exceeded"
+
+
+def test_deliver_naming_an_item_twice_needs_the_sum_in_payload(world):
+    text = (
+        "[9:56pm] Move to the storeroom\n"
+        "[9:58pm] Pick 1 aspirin\n"
+        "[9:59pm] Deliver 1 aspirin and 1 aspirin to the storeroom"
+    )
+    plan = normalize(parse_plan(text), world, "living_room")
+    goal = Goal((), "storeroom", parse_clock("10:10pm"), require_terminal_dock=False)
+    start = ("living_room", world.clock_start)
+    result = validate(plan, world, goal, DurationModel(), start, start_docked=True)
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION ItemUnavailable item=aspirin room=storeroom"
+    ]
+    log = execute(plan, world, _arm(), DurationModel())
+    assert log.outcome == FAULT
+    assert log.events[-1].detail == "aspirin not in payload"
+    assert log.final_state.payload == [("aspirin", 1)]
+
+
+def _perturb(rng, plan):
+    """The plan with one action dropped, one start shifted, or two swapped.
+
+    The first and last actions are picked more often, because only around
+    them does an oracle chain leave slack for a change to stay valid.
+    """
+    actions = list(plan.actions)
+    i = rng.choice([0, len(actions) - 1, rng.randrange(len(actions))])
+    how = rng.randrange(3)
+    if how == 0:
+        del actions[i]
+    elif how == 1:
+        shift = rng.choice([-3, -1, 1, 3])
+        actions[i] = TimedAction(actions[i].start + shift, actions[i].action)
+    else:
+        j = rng.randrange(len(actions))
+        actions[i], actions[j] = actions[j], actions[i]
+    return ActionPlan(tuple(actions))
+
+
+def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
+    rng = random.Random(44)
+    rooms = list(default_world().rooms)
+    items = ["aspirin", "ibuprofen", "water", "glass"]
+    perturbed = accepted = rejected = 0
+    for _ in range(300):
+        travel = {f"{a},{b}": rng.randint(1, 4) for a in rooms for b in rooms if a < b}
+        clock = rng.randint(360, 1200)
+        world = world_from_config(
+            {
+                "travel": travel,
+                "clock_start": clock,
+                "capacity": rng.randint(1, 3),
+                "stock": {"medicine_box": {"aspirin": rng.randint(1, 5)}},
+            }
+        )
+        picked = rng.sample(items, rng.randint(1, 3))
+        deliveries = tuple((item, rng.randint(1, 2)) for item in picked)
+        target = clock + rng.randint(20, 120)
+        goal = Goal(deliveries, rng.choice(rooms), target, rng.randint(0, 10))
+        start_room = rng.choice(rooms)
+        docked = start_room == world.charging_room and rng.random() < 0.5
+        start = (start_room, clock)
+        try:
+            oracle_plan = plan_oracle(world, goal, DurationModel(), start, start_docked=docked)
+        except ValueError:
+            continue
+        for plan in [oracle_plan] + [_perturb(rng, oracle_plan) for _ in range(4)]:
+            result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
+            if not result.ok:
+                rejected += 1
+                continue
+            accepted += 1
+            perturbed += plan != oracle_plan
+            arm = ZArmState(location=start_room, docked=docked)
+            log = execute(plan, world, arm, DurationModel())
+            assert log.outcome == COMPLETED, (serialize_plan(plan), log.events[-1].line())
+            assert log.delivered == result.delivered
+    assert perturbed > 100 and rejected > 100, (perturbed, accepted, rejected)
+
+
+def test_execute_never_raises_on_random_plans():
+    rng = random.Random(45)
+    worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
+    outcomes = set()
+    for _ in range(3000):
+        world = rng.choice(worlds)
+        carried = rng.sample(["aspirin", "water"], rng.randint(0, 2))
+        arm = ZArmState(
+            location=rng.choice(world.rooms),
+            payload=[(item, rng.randint(1, 3)) for item in carried],
+            docked=rng.random() < 0.5,
+        )
+        log = execute(_random_plan(rng), world, arm, DurationModel())
+        assert log.outcome in (COMPLETED, FAULT)
+        render_event_log(log)
+        outcomes.add(log.outcome)
+    assert outcomes == {COMPLETED, FAULT}

@@ -5,7 +5,6 @@ from aptbot.world import (
     WorldError,
     ZArmState,
     default_world,
-    item_facility,
     item_location,
     read_sensors,
     travel_time,
@@ -33,15 +32,15 @@ def test_travel_time_rejects_unknown_room(world):
 
 
 def test_item_location_lookup(world):
-    assert item_location(world, "aspirin") == "storeroom"
-    assert item_location(world, "water") == "kitchen"
+    assert item_location(world, "aspirin").location == "storeroom"
+    assert item_location(world, "water").location == "kitchen"
     with pytest.raises(WorldError):
         item_location(world, "coffee")
 
 
 def test_water_is_unbounded_and_aspirin_counted(world):
-    cooler = item_facility(world, "water")
-    box = item_facility(world, "aspirin")
+    cooler = item_location(world, "water")
+    box = item_location(world, "aspirin")
     assert cooler.stock["water"] is None
     assert box.stock["aspirin"] == 10
 
@@ -67,8 +66,8 @@ def test_world_from_config_travel_override_is_symmetric():
 
 def test_world_from_config_stock_override():
     world = world_from_config({"stock": {"medicine_box": {"aspirin": 1}}})
-    assert item_facility(world, "aspirin").stock["aspirin"] == 1
-    assert item_facility(world, "ibuprofen").stock["ibuprofen"] == 10
+    assert item_location(world, "aspirin").stock["aspirin"] == 1
+    assert item_location(world, "ibuprofen").stock["ibuprofen"] == 10
 
 
 def test_world_from_config_rejects_unknown_keys():
