@@ -28,11 +28,19 @@ from .plan import (
     parse_plan,
     serialize_plan,
 )
-from .prompts import GoalSlotError, parse_goal_slots
+from .prompts import GoalSlotError, ScaffoldMarkerError, parse_goal_slots
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulator import render_event_log
 from .validator import DurationModel, validate
 from .world import WorldError, ZArmState, default_world
+
+# Everything a command raises for bad input: a file, a scenario section, a
+# plan, a goal or the environment. Anything else is a fault in the program
+# and keeps its traceback.
+INPUT_ERRORS = (
+    ScenarioError, GoalSlotError, PlanParseError, NormalizeError,
+    WorldError, BackendError, OSError, UnicodeError,
+)
 
 
 def render_transcript(turns: list[ChatMessage]) -> str:
@@ -91,12 +99,7 @@ def run_scenario(scenario: Scenario, out_root: Path) -> list[RequestOutcome]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    outcomes = run_scenario(scenario, Path(args.out))
+    outcomes = run_scenario(load_scenario(args.scenario), Path(args.out))
     for index, outcome in enumerate(outcomes, start=1):
         print(f"request {index}: {outcome.status}")
     return 0 if all(o.status == FULFILLED for o in outcomes) else 1
@@ -117,21 +120,13 @@ def _print_outcome(outcome: RequestOutcome) -> None:
 
 def _cmd_repl(args: argparse.Namespace) -> int:
     if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        scenario = load_scenario(args.scenario)
         world = scenario.world
         templates = scenario.templates
         config = scenario.config
         backend = scenario.make_backend()
     else:
-        try:
-            backend = http_backend_from_env()
-        except BackendError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        backend = http_backend_from_env()
         world = default_world()
         templates = None
         config = AgentConfig()
@@ -160,44 +155,17 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 config=config,
                 templates=templates,
             )
-        except GatewayError as exc:
+        except (GatewayError, ScaffoldMarkerError) as exc:
             print(f"error: {exc}")
             continue
         _print_outcome(outcome)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        goal = parse_goal_slots(args.goal)
-    except GoalSlotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.world:
-        try:
-            world = load_scenario(args.world).world
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        world = default_world()
-
-    try:
-        text = Path(args.planfile).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read plan file: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        plan = parse_plan(text)
-        plan = normalize(plan, world, world.charging_room)
-    except PlanParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NormalizeError, WorldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    goal = parse_goal_slots(args.goal)
+    world = load_scenario(args.world).world if args.world else default_world()
+    text = Path(args.planfile).read_text(encoding="utf-8")
+    plan = normalize(parse_plan(text), world, world.charging_room)
     result = validate(
         plan,
         world,
@@ -255,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

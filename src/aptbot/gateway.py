@@ -202,8 +202,11 @@ class ScriptedBackend:
             if not isinstance(match, dict) or len(match) != 1:
                 raise ValueError(f"script entry {i} match must set exactly one matcher")
             (key, value), = match.items()
-            if key not in ("exact", "contains", "step"):
+            kind = {"exact": str, "contains": str, "step": int}.get(key)
+            if kind is None:
                 raise ValueError(f"script entry {i} has unknown matcher {key!r}")
+            if type(value) is not kind:
+                raise ValueError(f"script entry {i} {key} must be {kind.__name__}, got {value!r}")
             if not isinstance(raw["response"], str):
                 raise ValueError(f"script entry {i} response must be a string")
             entries.append(ScriptEntry(response=raw["response"], **{key: value}))

@@ -76,20 +76,24 @@ class GoalSlotError(ValueError):
         self.raw = raw
 
 
-def _check_slots(**slots: str) -> None:
+class ScaffoldMarkerError(ValueError):
+    """A prompt slot holds a scaffold marker such as {0}."""
+
+
+def check_slots(**slots: str) -> None:
     for name, value in slots.items():
         for marker in _PLACEHOLDERS:
             if marker in value:
-                raise ValueError(f"{name} must not contain scaffold marker {marker}")
+                raise ScaffoldMarkerError(f"{name} must not contain scaffold marker {marker}")
 
 
 def build_few_shot_prompt(description: str, examples: str, question: str) -> str:
-    _check_slots(description=description, examples=examples, question=question)
+    check_slots(description=description, examples=examples, question=question)
     return FEW_SHOT_SCAFFOLD.format(description, examples, question)
 
 
 def build_zero_shot_prompt(description: str, question: str) -> str:
-    _check_slots(description=description, question=question)
+    check_slots(description=description, question=question)
     return ZERO_SHOT_SCAFFOLD.format(description, "", question)
 
 
@@ -232,6 +236,9 @@ def extract_goal(
 class TemplateEntry:
     description: str
     examples: str
+
+    def __post_init__(self) -> None:
+        check_slots(description=self.description, examples=self.examples)
 
 
 @dataclass(frozen=True)

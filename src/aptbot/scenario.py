@@ -8,14 +8,14 @@ matcher state never leaks between runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import AgentConfig
 from .gateway import GenerationParams, ScriptedBackend
-from .prompts import RequestType, TemplateEntry, TemplateRepository, default_templates
+from .prompts import RequestType, TemplateEntry, TemplateRepository, check_slots, default_templates
 from .validator import DurationModel
-from .world import WorldError, WorldModel, default_world, world_from_config
+from .world import WorldError, WorldModel, typed, world_from_config
 
 _TOP_KEYS = {"world", "templates", "script", "requests", "config"}
 _CONFIG_KEYS = {
@@ -44,78 +44,58 @@ class Scenario:
 
     def make_backend(self) -> ScriptedBackend:
         """Fresh backend with unconsumed script entries."""
-        try:
-            return ScriptedBackend.from_config(list(self.script))
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        return ScriptedBackend.from_config(list(self.script))
 
 
 def _merge_templates(world: WorldModel, overrides: dict) -> TemplateRepository:
-    if not isinstance(overrides, dict):
-        raise ScenarioError("templates section must be an object")
     entries = dict(default_templates(world).entries)
     for key, override in overrides.items():
-        try:
-            req_type = RequestType[key.upper()]
-        except KeyError:
-            raise ScenarioError(f"unknown template key {key!r}") from None
+        req_type = RequestType.__members__.get(key.upper(), RequestType.UNKNOWN)
         if req_type is RequestType.UNKNOWN:
-            raise ScenarioError("cannot set a template for the unknown type")
-        if not isinstance(override, dict) or not set(override) <= {
-            "description",
-            "examples",
-        }:
+            raise ScenarioError(f"unknown template key {key!r}")
+        if not set(override) <= {"description", "examples"}:
             raise ScenarioError(
                 f"template {key!r} allows only description and examples"
             )
         base = entries[req_type]
         entries[req_type] = TemplateEntry(
-            description=override.get("description", base.description),
-            examples=override.get("examples", base.examples),
+            description=typed(override, "description", str, base.description),
+            examples=typed(override, "examples", str, base.examples),
         )
     return TemplateRepository(entries)
 
 
 def _build_config(raw: dict) -> AgentConfig:
-    if not isinstance(raw, dict):
-        raise ScenarioError("config section must be an object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ScenarioError(f"unknown config keys: {sorted(unknown)}")
     config = AgentConfig()
     params = config.params
-    if "temperature" in raw:
-        params = replace(params, temperature=float(raw["temperature"]))
-    if "max_output_tokens" in raw:
-        params = replace(params, max_output_tokens=int(raw["max_output_tokens"]))
-    if "model" in raw:
-        params = replace(params, model_name=str(raw["model"]))
     durations = config.durations
-    if "durations" in raw:
-        sub = raw["durations"]
-        if not isinstance(sub, dict) or not set(sub) <= _DURATION_KEYS:
-            raise ScenarioError(
-                f"durations allows only keys {sorted(_DURATION_KEYS)}"
-            )
-        durations = DurationModel(
-            pick_min=int(sub.get("pick", durations.pick_min)),
-            fill_min=int(sub.get("fill", durations.fill_min)),
-            deliver_min=int(sub.get("deliver", durations.deliver_min)),
-            dock_min=int(sub.get("dock", durations.dock_min)),
-        )
-    try:
-        return AgentConfig(
-            max_retries=int(raw.get("max_retries", config.max_retries)),
-            durations=durations,
-            tolerance=int(raw.get("tolerance", config.tolerance)),
-            params=params,
-            token_budget=int(raw.get("token_budget", config.token_budget)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    sub = typed(raw, "durations", dict, {})
+    if not set(sub) <= _DURATION_KEYS:
+        raise ScenarioError(f"durations allows only keys {sorted(_DURATION_KEYS)}")
+    return AgentConfig(
+        max_retries=typed(raw, "max_retries", int, config.max_retries),
+        durations=DurationModel(
+            pick_min=typed(sub, "pick", int, durations.pick_min),
+            fill_min=typed(sub, "fill", int, durations.fill_min),
+            deliver_min=typed(sub, "deliver", int, durations.deliver_min),
+            dock_min=typed(sub, "dock", int, durations.dock_min),
+        ),
+        tolerance=typed(raw, "tolerance", int, config.tolerance),
+        params=GenerationParams(
+            # An integer temperature still goes on the wire as a float.
+            temperature=float(typed(raw, "temperature", float, params.temperature)),
+            max_output_tokens=typed(raw, "max_output_tokens", int, params.max_output_tokens),
+            model_name=typed(raw, "model", str, params.model_name),
+        ),
+        token_budget=typed(raw, "token_budget", int, config.token_budget),
+    )
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    """Check every section of a scenario document; any fault is a ScenarioError."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -123,34 +103,26 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
 
     try:
-        world = (
-            world_from_config(raw["world"]) if "world" in raw else default_world()
-        )
+        world = world_from_config(typed(raw, "world", dict, {}))
     except WorldError as exc:
         raise ScenarioError(f"world section: {exc}") from None
 
-    templates = _merge_templates(world, raw.get("templates", {}))
-
-    script = raw.get("script", [])
-    if not isinstance(script, list):
-        raise ScenarioError("script section must be a list")
-
-    requests = raw.get("requests", [])
-    if not isinstance(requests, list) or not all(
-        isinstance(r, str) for r in requests
-    ):
-        raise ScenarioError("requests section must be a list of strings")
-
-    config = _build_config(raw.get("config", {}))
-
-    scenario = Scenario(
-        world=world,
-        templates=templates,
-        script=tuple(script),
-        requests=tuple(requests),
-        config=config,
-    )
-    scenario.make_backend()
+    # Type and range errors of the other sections (WorldError from `typed`,
+    # ValueError from the dataclasses they build) all surface here.
+    try:
+        requests = typed(raw, "requests", list, [], item=str)
+        for request in requests:
+            check_slots(request=request)
+        scenario = Scenario(
+            world=world,
+            templates=_merge_templates(world, typed(raw, "templates", dict, {}, item=dict)),
+            script=tuple(typed(raw, "script", list, [])),
+            requests=tuple(requests),
+            config=_build_config(typed(raw, "config", dict, {})),
+        )
+        scenario.make_backend()
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     return scenario
 
 
@@ -158,7 +130,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
         raw = json.loads(text)
@@ -166,4 +138,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"scenario {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ScenarioError(f"scenario {path} nests too deeply to decode") from None
     return parse_scenario(raw)

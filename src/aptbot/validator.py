@@ -96,7 +96,8 @@ class Violation:
         return cls(
             "DeadlineMissed",
             (
-                ("actual", format_clock(actual)),
+                # A delivery that ends past midnight reads as the next day's time.
+                ("actual", format_clock(actual % MINUTES_PER_DAY)),
                 ("target", format_clock(target)),
                 ("tolerance", tolerance),
             ),

@@ -45,9 +45,9 @@ class WorldModel:
         for room in self.rooms:
             if self.travel.get((room, room), 0) != 0:
                 raise WorldError(f"travel diagonal must be 0 for {room}")
-        if type(self.clock_start) is not int or not 0 <= self.clock_start < MINUTES_PER_DAY:
+        if not 0 <= self.clock_start < MINUTES_PER_DAY:
             raise WorldError(f"clock_start must be a time of day, got {self.clock_start!r}")
-        if type(self.capacity) is not int or self.capacity < 0:
+        if self.capacity < 0:
             raise WorldError(f"capacity must be a non-negative integer, got {self.capacity!r}")
         stocked: set[str] = set()
         for f in self.facilities:
@@ -156,12 +156,41 @@ def read_sensors(world: WorldModel, arm: ZArmState, clock: int) -> list[SensorRe
     return readings
 
 
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object", type(None): "null"}
+
+
+def _require(value, kinds, what: str) -> None:
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if type(value) not in kinds and not (float in kinds and type(value) is int):
+        names = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise WorldError(f"{what} must be {names}, got {value!r}")
+
+
+def typed(section: dict, key: str, kind, default=None, item=None):
+    """`section[key]`, checked to have JSON type `kind`; `default` when absent.
+
+    `kind`, and `item` for every list entry or object value, is a type or a
+    tuple of types, matched exactly: a bool is not an int, and an int
+    stands for a float. A mismatch raises WorldError.
+    """
+    if key not in section:
+        return default
+    value = section[key]
+    _require(value, kind, key)
+    if item is not None:
+        for entry in value.values() if type(value) is dict else value:
+            _require(entry, item, f"every entry of {key}")
+    return value
+
+
 def world_from_config(config: dict) -> WorldModel:
     """Build a world from a scenario's `world` section.
 
     Recognized keys: rooms, travel, facilities, stock, clock_start,
     capacity. Unknown keys are rejected so scenario typos fail loudly.
     Travel overrides use "roomA,roomB" pair keys and apply symmetrically.
+    The world must have a charging_port facility.
     """
     allowed = {"rooms", "travel", "facilities", "stock", "clock_start", "capacity"}
     unknown = set(config) - allowed
@@ -169,60 +198,61 @@ def world_from_config(config: dict) -> WorldModel:
         raise WorldError(f"unknown world keys: {sorted(unknown)}")
 
     base = default_world()
-    rooms = tuple(config.get("rooms", base.rooms))
+    rooms = tuple(typed(config, "rooms", list, base.rooms, item=str))
 
     travel: dict[tuple[str, str], int] = {}
     for a in rooms:
         for b in rooms:
             travel[(a, b)] = 0 if a == b else DEFAULT_TRAVEL_MINUTES
-    for pair, minutes in config.get("travel", {}).items():
+    for pair, minutes in typed(config, "travel", dict, {}, item=int).items():
         parts = [p.strip() for p in pair.split(",")]
         if len(parts) != 2:
             raise WorldError(f"travel key must be 'roomA,roomB', got {pair!r}")
         a, b = parts
         if a not in rooms or b not in rooms:
             raise WorldError(f"travel override names unknown room in {pair!r}")
-        if not isinstance(minutes, int) or minutes < 0:
+        if minutes < 0:
             raise WorldError(f"travel minutes must be a non-negative integer in {pair!r}")
         travel[(a, b)] = minutes
         travel[(b, a)] = minutes
 
     if "facilities" in config:
         facilities = []
-        for entry in config["facilities"]:
+        for entry in typed(config, "facilities", list, item=dict):
             if not {"kind", "location"} <= set(entry) <= {"kind", "location", "stock"}:
                 raise WorldError(f"facility needs kind and location, and may have stock: {entry}")
             facilities.append(
-                Facility(entry["kind"], entry["location"], dict(entry.get("stock", {})))
+                Facility(
+                    typed(entry, "kind", str),
+                    typed(entry, "location", str),
+                    dict(typed(entry, "stock", dict, {})),
+                )
             )
-        facilities = tuple(facilities)
     else:
-        facilities = tuple(
-            f for f in base.facilities if f.location in rooms
-        )
+        facilities = [f for f in base.facilities if f.location in rooms]
 
-    if "stock" in config:
-        by_kind = {f.kind: f for f in facilities}
-        for kind, stock in config["stock"].items():
-            if kind not in by_kind:
-                raise WorldError(f"stock override for unknown facility {kind!r}")
-            old = by_kind[kind]
-            merged = dict(old.stock)
-            merged.update(stock)
-            by_kind[kind] = Facility(old.kind, old.location, merged)
-        facilities = tuple(by_kind.values())
+    overrides = typed(config, "stock", dict, {}, item=dict)
+    for kind in overrides:
+        if kind not in {f.kind for f in facilities}:
+            raise WorldError(f"stock override for unknown facility {kind!r}")
+    facilities = tuple(
+        Facility(f.kind, f.location, {**f.stock, **overrides.get(f.kind, {})})
+        for f in facilities
+    )
 
-    clock_start = config.get("clock_start", base.clock_start)
+    clock_start = typed(config, "clock_start", (str, int), base.clock_start)
     if isinstance(clock_start, str):
         try:
             clock_start = parse_clock(clock_start)
         except ClockParseError as exc:
             raise WorldError(f"clock_start: {exc}") from None
 
+    if not any(f.kind == "charging_port" for f in facilities):
+        raise WorldError("world has no charging_port facility")
     return WorldModel(
         rooms=rooms,
         travel=travel,
         facilities=facilities,
         clock_start=clock_start,
-        capacity=config.get("capacity", base.capacity),
+        capacity=typed(config, "capacity", int, base.capacity),
     )

@@ -1,7 +1,9 @@
 import os
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from aptbot.clock import parse_clock
 from aptbot.validator import Goal
@@ -10,6 +12,15 @@ from aptbot.world import default_world
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIO_PATH = Path(__file__).parent.parent / "scenarios" / "medication.scenario"
 SRC_DIR = Path(__file__).parent.parent / "src"
+
+
+def pytest_configure(config):
+    # The first text draw builds Hypothesis's unicode interval table, and
+    # caches it under `.hypothesis/`. In a fresh checkout that takes seconds;
+    # built inside a property test it fails the too_slow health check.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st.text().example()
 
 
 def child_env(base=None) -> dict:

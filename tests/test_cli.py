@@ -1,9 +1,17 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aptbot.cli import main
 from conftest import GOLDEN_DIR, SCENARIO_PATH, child_env
 
 
@@ -70,34 +78,91 @@ DEFAULT_FACILITIES = [
     {"kind": "charging_port", "location": "living_room"},
 ]
 
-
-@pytest.mark.parametrize(
-    "world",
-    [
-        {"facilities": [*DEFAULT_FACILITIES, {"kind": "fridge", "stock": {"milk": 2}}]},
-        {"capacity": "two"},
-        {"clock_start": 99999},
-        {"clock_start": "25:00pm"},
-        {"stock": {"medicine_box": {"aspirin": "ten"}}},
+BAD_SECTIONS = {
+    "facility-without-location": (
+        "world", {"facilities": [*DEFAULT_FACILITIES, {"kind": "fridge", "stock": {"milk": 2}}]}
+    ),
+    "capacity-not-int": ("world", {"capacity": "two"}),
+    "clock-start-out-of-day": ("world", {"clock_start": 99999}),
+    "clock-start-malformed": ("world", {"clock_start": "25:00pm"}),
+    "stock-not-int": ("world", {"stock": {"medicine_box": {"aspirin": "ten"}}}),
+    "item-in-two-facilities": (
+        "world",
         {
             "facilities": [
                 *DEFAULT_FACILITIES,
                 {"kind": "fridge", "location": "bedroom", "stock": {"water": 3}},
             ]
         },
-    ],
-    ids=["facility-without-location", "capacity-not-int", "clock-start-out-of-day",
-         "clock-start-malformed", "stock-not-int", "item-in-two-facilities"],
+    ),
+    "world-not-object": ("world", []),
+    "no-charging-port": ("world", {"facilities": DEFAULT_FACILITIES[:2]}),
+    "rooms-string": ("world", {"rooms": "kitchen"}),
+    "room-not-string": ("world", {"rooms": ["kitchen", 1]}),
+    "facilities-not-list": ("world", {"facilities": 3}),
+    "facility-not-object": ("world", {"facilities": [*DEFAULT_FACILITIES, 1]}),
+    "facility-kind-not-string": (
+        "world", {"facilities": [*DEFAULT_FACILITIES, {"kind": 3, "location": "bedroom"}]}
+    ),
+    "facility-stock-null": (
+        "world", {"facilities": [{**DEFAULT_FACILITIES[0], "stock": None}, *DEFAULT_FACILITIES[1:]]}
+    ),
+    "stock-override-not-object": ("world", {"stock": {"medicine_box": 3}}),
+    "travel-not-object": ("world", {"travel": [1]}),
+    "travel-minutes-bool": ("world", {"travel": {"kitchen,bedroom": True}}),
+    "max-output-tokens-string": ("config", {"max_output_tokens": "abc"}),
+    "temperature-out-of-range": ("config", {"temperature": 9}),
+    "duration-negative": ("config", {"durations": {"pick": -1}}),
+    "duration-string": ("config", {"durations": {"pick": "x"}}),
+    "max-retries-float": ("config", {"max_retries": 2.9}),
+    "max-retries-bool": ("config", {"max_retries": True}),
+    "model-not-string": ("config", {"model": [1]}),
+    "contains-not-string": ("script", [{"match": {"contains": 5}, "response": "(A)"}]),
+    "step-not-int": ("script", [{"match": {"step": "x"}, "response": "(A)"}]),
+    "description-not-string": ("templates", {"a_take_medicine": {"description": 3}}),
+    "description-with-marker": ("templates", {"a_take_medicine": {"description": "see {0}"}}),
+    "examples-not-string": ("templates", {"a_take_medicine": {"examples": ["x"]}}),
+    "request-with-marker": ("requests", ["bring {0} water"]),
+}
+
+
+@pytest.mark.parametrize(
+    "section, value", list(BAD_SECTIONS.values()), ids=list(BAD_SECTIONS)
 )
-def test_run_rejects_bad_world_section_with_exit_2(tmp_path, world):
+def test_run_rejects_bad_world_section_with_exit_2(tmp_path, section, value):
     scenario = json.loads(SCENARIO_PATH.read_text())
-    scenario["world"] = world
+    scenario[section] = value
     path = tmp_path / "bad_world.scenario"
     path.write_text(json.dumps(scenario))
     proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: world section:")
+    prefix = "error: world section:" if section == "world" else "error:"
+    assert proc.stderr.startswith(prefix)
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"requests": ["caf\xe9"]}', b'{"requests": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_run_undecodable_scenario_exits_2(tmp_path, content):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(content)
+    proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_unwritable_out_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = run_cli("run", "--scenario", str(SCENARIO_PATH), "--out", str(blocker / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_ok_prints_schedule(tmp_path):
@@ -130,6 +195,15 @@ def test_validate_malformed_goal_exits_2(tmp_path):
 def test_validate_missing_plan_file_exits_2(tmp_path):
     proc = run_cli("validate", str(tmp_path / "absent.txt"), "--goal", GOAL)
     assert proc.returncode == 2
+
+
+def test_validate_non_utf8_plan_exits_2(tmp_path):
+    plan = tmp_path / "latin1.txt"
+    plan.write_bytes(b"[9:56pm] Move to the caf\xe9\n")
+    proc = run_cli("validate", str(plan), "--goal", GOAL)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_unparseable_plan_exits_2(tmp_path):
@@ -178,6 +252,18 @@ def test_repl_blank_lines_do_not_consume_script(tmp_path):
     )
     proc = run_cli("repl", "--scenario", str(SCENARIO_PATH), stdin_text=stdin_text)
     assert proc.returncode == 0
+    assert "status: fulfilled" in proc.stdout
+
+
+def test_repl_reports_request_with_scaffold_marker_and_continues():
+    stdin_text = (
+        "bring {1} to me\n"
+        "please bring me two pills of aspirin with a glass of water "
+        "at 10:00pm in the living room\n"
+    )
+    proc = run_cli("repl", "--scenario", str(SCENARIO_PATH), stdin_text=stdin_text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("error: question must not contain scaffold marker {1}\n")
     assert "status: fulfilled" in proc.stdout
 
 
@@ -230,3 +316,103 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert "repl" in proc.stdout
     assert "validate" in proc.stdout
+
+
+# Exit-code contract, in process: whatever the input, `main` returns 0, 1 or
+# 2 and raises nothing.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+SECTION_KEYS = {
+    "world": ["rooms", "travel", "facilities", "stock", "clock_start", "capacity"],
+    "templates": ["a_take_medicine", "b_appliance_control", "c_food_beverage"],
+    "config": ["max_retries", "tolerance", "token_budget", "temperature",
+               "max_output_tokens", "model", "durations"],
+    "script": [],
+    "requests": [],
+}
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+MEDICATION = json.loads(SCENARIO_PATH.read_text())
+MEDICATION_PATHS = list(_paths(MEDICATION))
+
+
+def _main_exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _run_exit_code(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scenario"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        return _main_exit_code(["run", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+
+
+@st.composite
+def scenario_with_one_section(draw):
+    section = draw(st.sampled_from(sorted(SECTION_KEYS)))
+    keys = SECTION_KEYS[section]
+    value = draw(
+        JSON_VALUES | st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=3)
+        if keys else JSON_VALUES
+    )
+    return {**MEDICATION, section: value}
+
+
+@st.composite
+def medication_with_one_field_mutated(draw):
+    scenario = copy.deepcopy(MEDICATION)
+    *parents, last = draw(st.sampled_from(MEDICATION_PATHS))
+    node = scenario
+    for key in parents:
+        node = node[key]
+    node[last] = draw(JSON_VALUES)
+    return scenario
+
+
+@given(scenario_with_one_section() | medication_with_one_field_mutated())
+@settings(max_examples=150, deadline=None)
+def test_run_exit_code_is_0_1_or_2_for_any_scenario(scenario):
+    assert _run_exit_code(scenario) in (0, 1, 2)
+
+
+GOLDEN_ACTIONS = [line.split("] ", 1)[1] for line in (GOLDEN_DIR / "plan.txt").read_text().splitlines()]
+PLAN_LINES = st.builds(
+    "[{}] {}".format,
+    st.sampled_from(["9:56pm", "11:59pm"]),
+    st.sampled_from(GOLDEN_ACTIONS),
+)
+GOAL_SLOTS = st.builds(
+    "item={}; qty={}; companion={}; time={}; room={}".format,
+    st.sampled_from(["aspirin", "water"]) | st.text(max_size=6),
+    st.sampled_from(["0", "2"]) | st.text(max_size=4),
+    st.sampled_from(["water", "none"]) | st.text(max_size=6),
+    st.sampled_from(["10:00pm", "11:59pm"]) | st.text(max_size=8),
+    st.sampled_from(["living room", "kitchen"]) | st.text(max_size=8),
+)
+
+
+@given(
+    plan=st.lists(PLAN_LINES, min_size=1, max_size=8).map("\n".join).map(str.encode)
+    | st.text().map(str.encode)
+    | st.binary(max_size=40),
+    goal=st.just(GOAL) | GOAL_SLOTS | st.text(),
+)
+@settings(max_examples=150, deadline=None)
+def test_validate_exit_code_is_0_1_or_2_for_any_plan_and_goal(plan, goal):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.txt"
+        path.write_bytes(plan)
+        assert _main_exit_code(["validate", str(path), f"--goal={goal}"]) in (0, 1, 2)

@@ -96,6 +96,11 @@ def test_config_section_round_trip():
     assert config.durations.dock_min == 3
 
 
+def test_integer_temperature_is_sent_as_a_float():
+    params = parse_scenario({"config": {"temperature": 1}}).config.params
+    assert type(params.temperature) is float and params.temperature == 1.0
+
+
 def test_config_unknown_keys_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario({"config": {"retries": 2}})

@@ -192,6 +192,14 @@ def test_plan_running_past_midnight_is_wraparound(world):
     assert [v.kind for v in result.violations] == ["TimeWraparound"]
 
 
+def test_delivery_past_midnight_reports_deadline_as_next_day_time(world, medication_goal):
+    text = "[11:59pm] Deliver 2 aspirin and 1 water to the living room"
+    result = _validate(text, world, medication_goal)
+    lines = [v.machine_line() for v in result.violations]
+    assert "VIOLATION TimeWraparound" in lines
+    assert "VIOLATION DeadlineMissed actual=12:00am target=10:00pm tolerance=5" in lines
+
+
 def test_all_violations_reported_not_just_first(world, medication_goal):
     text = "[9:53pm] Wait 1 minute\n[9:52pm] Wait 1 minute"
     result = _validate(text, world, medication_goal, start_docked=False)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from aptbot.clock import parse_clock
 from aptbot.world import (
+    Facility,
     WorldError,
     ZArmState,
     default_world,
@@ -83,6 +86,9 @@ def test_world_from_config_rejects_bad_travel_pair():
 
 
 def test_world_requires_charging_port_for_charging_room():
-    world = world_from_config({"facilities": [{"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}}]})
+    config = {"facilities": [{"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}}]}
+    with pytest.raises(WorldError):
+        world_from_config(config)
+    world = replace(default_world(), facilities=(Facility("water_cooler", "kitchen", {"water": None}),))
     with pytest.raises(WorldError):
         world.charging_room
