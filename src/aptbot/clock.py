@@ -14,6 +14,13 @@ MINUTES_PER_DAY = 1440
 
 _CLOCK_RE = re.compile(r"^(\d{1,2}):(\d{2})\s*(am|pm)$", re.IGNORECASE)
 
+# Every canonical text once, and its inverse; other spellings take the regex.
+_TEXTS = tuple(
+    f"{(m // 60 - 1) % 12 + 1}:{m % 60:02d}{'am' if m < 720 else 'pm'}"
+    for m in range(MINUTES_PER_DAY)
+)
+_MINUTES = {text: m for m, text in enumerate(_TEXTS)}
+
 
 class ClockParseError(ValueError):
     """Raised for text that is not a valid 12-hour clock time."""
@@ -21,6 +28,9 @@ class ClockParseError(ValueError):
 
 def parse_clock(text: str) -> int:
     """Parse "9:56pm" into minutes since midnight (1316)."""
+    minutes = _MINUTES.get(text)
+    if minutes is not None:
+        return minutes
     m = _CLOCK_RE.match(text.strip())
     if m is None:
         raise ClockParseError(f"malformed time {text!r}")
@@ -39,9 +49,4 @@ def format_clock(minutes: int) -> str:
     """Render minutes since midnight as "9:56pm"."""
     if not 0 <= minutes < MINUTES_PER_DAY:
         raise ValueError(f"minutes out of range: {minutes}")
-    hour24, minute = divmod(minutes, 60)
-    meridiem = "am" if hour24 < 12 else "pm"
-    hour = hour24 % 12
-    if hour == 0:
-        hour = 12
-    return f"{hour}:{minute:02d}{meridiem}"
+    return _TEXTS[minutes]

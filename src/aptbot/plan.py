@@ -2,8 +2,11 @@
 
 A plan is one action per line in the form `[h:mmam] Verb phrase`. Text
 around plan lines is ignored, because model responses wrap plans in prose.
-The serializer is byte-deterministic; `parse_plan(serialize_plan(p)) == p`
-for every canonical plan.
+A phrase is read by one verb pattern that tries the verbs in a fixed
+priority order: dock, charge, wait, move, fill, deliver, pick; the first
+verb that reads the whole phrase wins, so "return to the charging port"
+docks rather than moves. The serializer is byte-deterministic;
+`parse_plan(serialize_plan(p)) == p` for every canonical plan.
 """
 
 from __future__ import annotations
@@ -94,21 +97,23 @@ _WORD_NUMBERS = {
     "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
 }
 
-_MOVE_RE = re.compile(
-    r"^(?:move|go|return)\s+(?:from\s+(?:the\s+)?.+?\s+)?(?:back\s+)?to\s+(?:the\s+)?(?P<dest>.+)$"
+# Alternation tries the verbs in the module docstring's priority order, so a
+# phrase that two verbs could read goes to the earlier one. Each verb is a
+# named group around its whole alternative, so `m.lastgroup` names the verb.
+_VERB_RE = re.compile(
+    r"^(?:"
+    r"(?P<dock>dock(?:\s+at\s+(?:the\s+)?charging\s+port)?"
+    r"|return\s+to\s+(?:the\s+)?charging\s+port)$"
+    r"|(?P<charge>start\s+charging|charge)$"
+    r"|(?P<wait>wait\s+(?:for\s+)?(?P<n>\d+)\s+minutes?)$"
+    r"|(?P<move>(?:move|go|return)\s+(?:from\s+(?:the\s+)?.+?\s+)?(?:back\s+)?to\s+(?:the\s+)?"
+    r"(?P<move_dest>.+))$"
+    r"|(?P<fill>fill\s+(?:the\s+|a\s+)?(?P<container>.+?)\s+with\s+(?:the\s+)?(?P<source>.+))$"
+    r"|(?P<deliver>(?:deliver|bring)\s+(?P<items>.+)\s+to\s+(?:the\s+)?(?P<dest>.+))$"
+    r"|(?P<pick>(?:pick\s+up|pick|take|grab|fetch)\s+(?P<rest>.+))$"
+    r")"
 )
-_PICK_RE = re.compile(r"^(?:pick\s+up|pick|take|grab|fetch)\s+(?P<rest>.+)$")
-_FILL_RE = re.compile(
-    r"^fill\s+(?:the\s+|a\s+)?(?P<container>.+?)\s+with\s+(?:the\s+)?(?P<source>.+)$"
-)
-_DELIVER_RE = re.compile(
-    r"^(?:deliver|bring)\s+(?P<items>.+)\s+to\s+(?:the\s+)?(?P<dest>.+)$"
-)
-_DOCK_RE = re.compile(
-    r"^(?:dock(?:\s+at\s+(?:the\s+)?charging\s+port)?|return\s+to\s+(?:the\s+)?charging\s+port)$"
-)
-_CHARGE_RE = re.compile(r"^(?:start\s+charging|charge)$")
-_WAIT_RE = re.compile(r"^wait\s+(?:for\s+)?(?P<n>\d+)\s+minutes?$")
+_AND_RE = re.compile(r"\s+and\s+")
 
 
 def _parse_qty_item(text: str) -> tuple[str, int]:
@@ -131,30 +136,32 @@ def _parse_qty_item(text: str) -> tuple[str, int]:
 
 def _parse_phrase(phrase: str) -> Action:
     lowered = " ".join(phrase.strip().rstrip(".").split()).lower()
-    if _DOCK_RE.match(lowered):
+    m = _VERB_RE.match(lowered)
+    verb = m.lastgroup if m else None
+    if verb == "dock":
         return Dock()
-    if _CHARGE_RE.match(lowered):
+    if verb == "charge":
         return Charge()
-    if m := _WAIT_RE.match(lowered):
+    if verb == "wait":
         minutes = int(m.group("n"))
         if minutes < 1:
             raise ValueError("wait must be at least one minute")
         return Wait(minutes)
-    if m := _MOVE_RE.match(lowered):
-        return Move(room_id(m.group("dest")))
-    if m := _FILL_RE.match(lowered):
+    if verb == "move":
+        return Move(room_id(m.group("move_dest")))
+    if verb == "fill":
         return Fill(m.group("container").strip(), m.group("source").strip())
-    if m := _DELIVER_RE.match(lowered):
+    if verb == "deliver":
         items = tuple(
             _parse_qty_item(part)
             for chunk in m.group("items").split(",")
-            for part in re.split(r"\s+and\s+", chunk)
+            for part in _AND_RE.split(chunk)
             if part.strip()
         )
         if not items:
             raise ValueError("empty delivery list")
         return Deliver(items, room_id(m.group("dest")))
-    if m := _PICK_RE.match(lowered):
+    if verb == "pick":
         item, qty = _parse_qty_item(m.group("rest"))
         return Pick(item, qty)
     raise ValueError(f"unrecognized action {phrase!r}")

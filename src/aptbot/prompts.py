@@ -97,13 +97,16 @@ def build_zero_shot_prompt(description: str, question: str) -> str:
     return ZERO_SHOT_SCAFFOLD.format(description, "", question)
 
 
+_OPTION_RE = re.compile(r"\(([A-Za-z])\)")
+
+
 def extract_option(answer: str) -> str | None:
     """First standalone option letter, or None when absent or ambiguous.
 
     Accepts "(A)", a bare single-letter answer, and "(a) take medicine".
     Two different letters in one answer is ambiguous: None, not a guess.
     """
-    letters = [m.group(1).upper() for m in re.finditer(r"\(([A-Za-z])\)", answer)]
+    letters = [m.group(1).upper() for m in _OPTION_RE.finditer(answer)]
     if not letters:
         bare = answer.strip().rstrip(".").strip()
         if len(bare) == 1 and bare.isalpha():
@@ -165,7 +168,10 @@ GOAL_SLOT_EXAMPLE = (
     "time=8:30am; room=bedroom"
 )
 
-_SLOT_KEYS = ("item", "qty", "companion", "time", "room")
+_SLOT_RES = {
+    key: re.compile(rf"\b{key}\s*=\s*([^;\n]+)")
+    for key in ("item", "qty", "companion", "time", "room")
+}
 
 
 def format_goal_slots(goal: Goal) -> str:
@@ -182,8 +188,8 @@ def format_goal_slots(goal: Goal) -> str:
 
 def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
     values = {}
-    for key in _SLOT_KEYS:
-        m = re.search(rf"\b{key}\s*=\s*([^;\n]+)", text)
+    for key, pattern in _SLOT_RES.items():
+        m = pattern.search(text)
         if m is None:
             raise GoalSlotError(f"missing slot {key!r}", text)
         values[key] = m.group(1).strip()

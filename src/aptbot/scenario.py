@@ -58,10 +58,13 @@ def _merge_templates(world: WorldModel, overrides: dict) -> TemplateRepository:
                 f"template {key!r} allows only description and examples"
             )
         base = entries[req_type]
-        entries[req_type] = TemplateEntry(
-            description=typed(override, "description", str, base.description),
-            examples=typed(override, "examples", str, base.examples),
-        )
+        try:
+            entries[req_type] = TemplateEntry(
+                description=typed(override, "description", str, base.description),
+                examples=typed(override, "examples", str, base.examples),
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"template {key!r}: {exc}") from None
     return TemplateRepository(entries)
 
 
@@ -134,10 +137,17 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
         raw = json.loads(text)
+        # An escape such as "\ud800" decodes to a lone surrogate, which no
+        # output file can hold: refuse it here, before any request runs.
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"scenario {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from None
     except RecursionError:
         raise ScenarioError(f"scenario {path} nests too deeply to decode") from None
+    except UnicodeEncodeError as exc:
+        raise ScenarioError(
+            f"scenario {path} holds text that cannot be encoded as UTF-8: {exc.reason}"
+        ) from None
     return parse_scenario(raw)

@@ -218,23 +218,29 @@ def world_from_config(config: dict) -> WorldModel:
 
     if "facilities" in config:
         facilities = []
-        for entry in typed(config, "facilities", list, item=dict):
+        for index, entry in enumerate(typed(config, "facilities", list, item=dict)):
             if not {"kind", "location"} <= set(entry) <= {"kind", "location", "stock"}:
                 raise WorldError(f"facility needs kind and location, and may have stock: {entry}")
-            facilities.append(
-                Facility(
-                    typed(entry, "kind", str),
-                    typed(entry, "location", str),
-                    dict(typed(entry, "stock", dict, {})),
+            # Name the facility by its kind, or by its index when the kind is bad.
+            name = entry["kind"] if type(entry["kind"]) is str else index
+            try:
+                facilities.append(
+                    Facility(
+                        typed(entry, "kind", str),
+                        typed(entry, "location", str),
+                        dict(typed(entry, "stock", dict, {})),
+                    )
                 )
-            )
+            except WorldError as exc:
+                raise WorldError(f"facility {name!r}: {exc}") from None
     else:
         facilities = [f for f in base.facilities if f.location in rooms]
 
-    overrides = typed(config, "stock", dict, {}, item=dict)
-    for kind in overrides:
+    overrides = typed(config, "stock", dict, {})
+    for kind, override in overrides.items():
         if kind not in {f.kind for f in facilities}:
             raise WorldError(f"stock override for unknown facility {kind!r}")
+        _require(override, dict, f"stock override for {kind!r}")
     facilities = tuple(
         Facility(f.kind, f.location, {**f.stock, **overrides.get(f.kind, {})})
         for f in facilities

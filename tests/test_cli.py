@@ -142,10 +142,42 @@ def test_run_rejects_bad_world_section_with_exit_2(tmp_path, section, value):
     assert proc.stderr.count("\n") == 1
 
 
+NESTED_FIELD_ERRORS = {
+    "description-not-string":
+        "error: template 'a_take_medicine': description must be a string, got 3\n",
+    "facility-stock-null":
+        "error: world section: facility 'water_cooler': stock must be an object, got None\n",
+    "facility-kind-not-string":
+        "error: world section: facility 3: kind must be a string, got 3\n",
+    "stock-override-not-object":
+        "error: world section: stock override for 'medicine_box' must be an object, got 3\n",
+}
+
+
+@pytest.mark.parametrize("case", list(NESTED_FIELD_ERRORS))
+def test_nested_field_error_names_its_template_or_facility(tmp_path, case):
+    section, value = BAD_SECTIONS[case]
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps({**json.loads(SCENARIO_PATH.read_text()), section: value}))
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert stderr.getvalue() == NESTED_FIELD_ERRORS[case]
+
+
+LONE_SURROGATE_SCENARIO = json.dumps(
+    {**json.loads(SCENARIO_PATH.read_text()), "requests": ["bring water \ud800 please"]}
+).encode()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b'{"requests": ["caf\xe9"]}', b'{"requests": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
-    ids=["non-utf8", "deeply-nested"],
+    [
+        b'{"requests": ["caf\xe9"]}',
+        b'{"requests": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        LONE_SURROGATE_SCENARIO,
+    ],
+    ids=["non-utf8", "deeply-nested", "lone-surrogate"],
 )
 def test_run_undecodable_scenario_exits_2(tmp_path, content):
     path = tmp_path / "bad.scenario"
@@ -153,7 +185,9 @@ def test_run_undecodable_scenario_exits_2(tmp_path, content):
     proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "request_001").exists()
 
 
 def test_run_unwritable_out_exits_2(tmp_path):

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aptbot.clock import parse_clock
@@ -15,6 +17,8 @@ from aptbot.plan import (
     PlanParseError,
     TimedAction,
     Wait,
+    _parse_phrase,
+    _parse_qty_item,
     action_phrase,
     items_text,
     normalize,
@@ -216,3 +220,91 @@ def test_fuzz_never_aborts(text):
         parse_plan(text)
     except PlanParseError:
         pass
+
+
+# Reference for the single verb pattern: the seven verb patterns tried one
+# after another, in priority order.
+_REF_MOVE = re.compile(
+    r"^(?:move|go|return)\s+(?:from\s+(?:the\s+)?.+?\s+)?(?:back\s+)?to\s+(?:the\s+)?(?P<dest>.+)$"
+)
+_REF_PICK = re.compile(r"^(?:pick\s+up|pick|take|grab|fetch)\s+(?P<rest>.+)$")
+_REF_FILL = re.compile(
+    r"^fill\s+(?:the\s+|a\s+)?(?P<container>.+?)\s+with\s+(?:the\s+)?(?P<source>.+)$"
+)
+_REF_DELIVER = re.compile(
+    r"^(?:deliver|bring)\s+(?P<items>.+)\s+to\s+(?:the\s+)?(?P<dest>.+)$"
+)
+_REF_DOCK = re.compile(
+    r"^(?:dock(?:\s+at\s+(?:the\s+)?charging\s+port)?|return\s+to\s+(?:the\s+)?charging\s+port)$"
+)
+_REF_CHARGE = re.compile(r"^(?:start\s+charging|charge)$")
+_REF_WAIT = re.compile(r"^wait\s+(?:for\s+)?(?P<n>\d+)\s+minutes?$")
+
+
+def _reference_parse_phrase(phrase):
+    lowered = " ".join(phrase.strip().rstrip(".").split()).lower()
+    if _REF_DOCK.match(lowered):
+        return Dock()
+    if _REF_CHARGE.match(lowered):
+        return Charge()
+    if m := _REF_WAIT.match(lowered):
+        minutes = int(m.group("n"))
+        if minutes < 1:
+            raise ValueError("wait must be at least one minute")
+        return Wait(minutes)
+    if m := _REF_MOVE.match(lowered):
+        return Move(room_id(m.group("dest")))
+    if m := _REF_FILL.match(lowered):
+        return Fill(m.group("container").strip(), m.group("source").strip())
+    if m := _REF_DELIVER.match(lowered):
+        items = tuple(
+            _parse_qty_item(part)
+            for chunk in m.group("items").split(",")
+            for part in re.split(r"\s+and\s+", chunk)
+            if part.strip()
+        )
+        if not items:
+            raise ValueError("empty delivery list")
+        return Deliver(items, room_id(m.group("dest")))
+    if m := _REF_PICK.match(lowered):
+        item, qty = _parse_qty_item(m.group("rest"))
+        return Pick(item, qty)
+    raise ValueError(f"unrecognized action {phrase!r}")
+
+
+def _outcome(parse, phrase):
+    try:
+        return parse(phrase)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+_VERBS = ["move", "go", "return", "pick", "pick up", "take", "grab", "fetch", "fill",
+          "deliver", "bring", "dock", "charge", "start", "start charging", "wait"]
+_WORDS = st.sampled_from(
+    _VERBS
+    + ["to", "the", "with", "and", "from", "back", "for", "a", "at", ","]
+    + ["kitchen", "living room", "bedroom", "storeroom", "charging port", "port"]
+    + ["aspirin", "water", "glass", "pills of", "minute", "minutes"]
+    + ["0", "1", "2", "two", "twelve", "13"]
+) | st.text(max_size=4)
+_PHRASES = st.builds(
+    lambda verb, words, tail, case: case(" ".join([verb, *words]) + tail),
+    st.sampled_from(_VERBS) | st.text(max_size=4),
+    st.lists(_WORDS, max_size=8),
+    st.sampled_from(["", ".", " .", "  "]),
+    st.sampled_from([str, str.upper, str.title]),
+)
+
+
+@given(_PHRASES)
+@settings(max_examples=500)
+@example("Return to the charging port")
+@example("return back to the charging port.")
+@example("Deliver 2 aspirin and 1 glass of water to the living room")
+@example("bring two, and 1 water to bedroom")
+@example("Wait 0 minutes")
+@example("Fill a glass with the water")
+@example("take 2 pills of aspirin")
+def test_single_verb_pattern_matches_the_sequential_patterns(phrase):
+    assert _outcome(_parse_phrase, phrase) == _outcome(_reference_parse_phrase, phrase)
