@@ -14,9 +14,9 @@ from .gateway import (
     ScriptedBackend,
     Session,
 )
-from .oracle import enumerate_feasible, plan_oracle
+from .oracle import plan_oracle
 from .plan import ActionPlan, parse_plan, serialize_plan
-from .prompts import RequestType, classify_request, extract_goal
+from .prompts import RequestType, classify_request
 from .scenario import Scenario, load_scenario
 from .simulator import EventLog, execute
 from .validator import DurationModel, Goal, ValidationResult, Violation, validate
@@ -45,9 +45,7 @@ __all__ = [
     "__version__",
     "classify_request",
     "default_world",
-    "enumerate_feasible",
     "execute",
-    "extract_goal",
     "handle_request",
     "load_scenario",
     "parse_plan",

@@ -9,16 +9,10 @@ on an unvalidated plan.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .gateway import (
-    Backend,
-    ChatMessage,
-    GatewayError,
-    GenerationParams,
-    Session,
-    complete,
-)
+from .gateway import Backend, ChatMessage, GatewayError, GenerationParams, Session, complete
 from .plan import ActionPlan, NormalizeError, PlanParseError, normalize, parse_plan
 from .prompts import (
     GOAL_SLOT_FORMAT,
@@ -33,14 +27,8 @@ from .prompts import (
     parse_goal_slots,
 )
 from .simulator import FAULT, EventLog, execute
-from .validator import (
-    DurationModel,
-    Goal,
-    ScheduledAction,
-    Violation,
-    validate,
-)
-from .world import WorldError, WorldModel, ZArmState, read_sensors
+from .validator import DurationModel, Goal, ScheduledAction, Violation, validate
+from .world import WorldModel, ZArmState, read_sensors
 
 FULFILLED = "fulfilled"
 REJECTED_UNKNOWN_TYPE = "rejected_unknown_type"
@@ -78,12 +66,12 @@ class RequestOutcome:
     violations: tuple[Violation, ...] = ()
 
 
-def _failure_line(failure: Violation | PlanParseError | str) -> str:
+def _failure_line(failure: Violation | PlanParseError | NormalizeError | str) -> str:
     if isinstance(failure, Violation):
         return failure.machine_line()
     if isinstance(failure, PlanParseError):
         return f"PARSE_ERROR line={failure.line_number} reason={failure.reason}"
-    return failure
+    return str(failure)
 
 
 def replan_feedback(failures: list) -> str:
@@ -100,21 +88,69 @@ def replan_feedback(failures: list) -> str:
     return "\n".join(lines)
 
 
-def _goal_repair_prompt(error: GoalSlotError) -> str:
+def _goal_repair_prompt(failures: list[GoalSlotError]) -> str:
     return (
-        f"That reply did not parse ({error.reason}). "
+        f"That reply did not parse ({failures[0].reason}). "
         "Reply with exactly one line of the form "
         f"{GOAL_SLOT_FORMAT}. Use companion=none when only one item is requested."
     )
 
 
-def _backend_failed(session: Session, exc: GatewayError, attempts: int) -> RequestOutcome:
-    return RequestOutcome(
-        status=BACKEND_FAILED,
-        transcript=list(session.turns),
-        attempts=attempts,
-        error=str(exc),
-    )
+def _goal_attempt(reply: str, tolerance: int) -> Goal | list[GoalSlotError]:
+    try:
+        return parse_goal_slots(reply, tolerance=tolerance)
+    except GoalSlotError as exc:
+        return [exc]
+
+
+def _plan_attempt(
+    reply: str, world: WorldModel, arm: ZArmState, goal: Goal, config: AgentConfig
+) -> tuple[ActionPlan, list[ScheduledAction], EventLog] | list:
+    """Judge one plan reply: (plan, schedule, log) if it executes, else its failures."""
+    try:
+        canonical = normalize(parse_plan(reply), world, arm.location)
+    except (PlanParseError, NormalizeError) as exc:
+        return [exc]
+    start = (arm.location, world.clock_start)
+    result = validate(canonical, world, goal, config.durations, start, start_docked=arm.docked)
+    if not result.ok:
+        return list(result.violations)
+    # A validated plan should always complete; a fault here is the simulator's.
+    log = execute(canonical, world, arm, config.durations)
+    if log.outcome == FAULT:
+        return [f"EXECUTION_FAULT {log.events[-1].detail}"]
+    return canonical, result.schedule, log
+
+
+def _exchange(
+    backend: Backend,
+    session: Session,
+    config: AgentConfig,
+    prompt: str,
+    judge: Callable[[str], object],
+    feedback: Callable[[list], str],
+) -> tuple[object, int]:
+    """Send `prompt` and judge the reply, re-asking up to `max_retries` times.
+
+    `judge` returns an accepted value or a list of failures, which
+    `feedback` turns into the next prompt. Returns the last verdict (or the
+    GatewayError that cut the exchange short) and the replies judged.
+    """
+    verdict: object = None
+    attempts = 0
+    for _ in range(config.max_retries + 1):
+        try:
+            reply = complete(
+                backend, session, prompt, config.params, input_limit=config.token_budget
+            )
+        except GatewayError as exc:
+            return exc, attempts
+        attempts += 1
+        verdict = judge(reply)
+        if not isinstance(verdict, list):
+            break
+        prompt = feedback(verdict)
+    return verdict, attempts
 
 
 def handle_request(
@@ -134,6 +170,9 @@ def handle_request(
     templates = templates if templates is not None else default_templates(world)
     session = Session()
 
+    def outcome(status: str, **fields) -> RequestOutcome:
+        return RequestOutcome(status, transcript=list(session.turns), **fields)
+
     try:
         req_type = classify_request(
             backend,
@@ -143,104 +182,34 @@ def handle_request(
             input_limit=config.token_budget,
         )
     except GatewayError as exc:
-        return _backend_failed(session, exc, attempts=0)
+        return outcome(BACKEND_FAILED, error=str(exc))
 
     if req_type is RequestType.UNKNOWN:
         raw = session.turns[-1].content if session.turns else ""
-        return RequestOutcome(
-            status=REJECTED_UNKNOWN_TYPE,
-            transcript=list(session.turns),
-            error=f"unrecognized request type: {raw!r}",
-        )
+        return outcome(REJECTED_UNKNOWN_TYPE, error=f"unrecognized request type: {raw!r}")
 
-    goal: Goal | None = None
-    prompt = goal_prompt(request)
-    last_slot_error: GoalSlotError | None = None
-    for _ in range(config.max_retries + 1):
-        try:
-            reply = complete(
-                backend, session, prompt, config.params, input_limit=config.token_budget
-            )
-        except GatewayError as exc:
-            return _backend_failed(session, exc, attempts=0)
-        try:
-            goal = parse_goal_slots(reply, tolerance=config.tolerance)
-            break
-        except GoalSlotError as exc:
-            last_slot_error = exc
-            prompt = _goal_repair_prompt(exc)
-    if goal is None:
-        return RequestOutcome(
-            status=PLAN_FAILED,
-            transcript=list(session.turns),
-            error=f"goal extraction failed: {last_slot_error}",
-        )
-
-    entry = templates.lookup(req_type)
-    readings = read_sensors(world, arm, world.clock_start)
-    description = context_aware_description(req_type, readings, entry.description)
-    prompt = build_few_shot_prompt(description, entry.examples, request)
-
-    last_failures: list = []
-    attempts = 0
-    for _ in range(config.max_retries + 1):
-        try:
-            reply = complete(
-                backend, session, prompt, config.params, input_limit=config.token_budget
-            )
-        except GatewayError as exc:
-            return _backend_failed(session, exc, attempts=attempts)
-        attempts += 1
-
-        try:
-            raw_plan = parse_plan(reply)
-            canonical = normalize(raw_plan, world, arm.location)
-        except PlanParseError as exc:
-            last_failures = [exc]
-            prompt = replan_feedback(last_failures)
-            continue
-        except (NormalizeError, WorldError) as exc:
-            last_failures = [str(exc)]
-            prompt = replan_feedback(last_failures)
-            continue
-
-        try:
-            result = validate(
-                canonical,
-                world,
-                goal,
-                config.durations,
-                (arm.location, world.clock_start),
-                start_docked=arm.docked,
-            )
-        except WorldError as exc:
-            last_failures = [str(exc)]
-            prompt = replan_feedback(last_failures)
-            continue
-        if not result.ok:
-            last_failures = list(result.violations)
-            prompt = replan_feedback(last_failures)
-            continue
-
-        log = execute(canonical, world, arm, config.durations)
-        if log.outcome == FAULT:
-            last_failures = [f"EXECUTION_FAULT {log.events[-1].detail}"]
-            prompt = replan_feedback(last_failures)
-            continue
-
-        return RequestOutcome(
-            status=FULFILLED,
-            plan=canonical,
-            schedule=result.schedule,
-            event_log=log,
-            transcript=list(session.turns),
-            attempts=attempts,
-        )
-
-    return RequestOutcome(
-        status=PLAN_FAILED,
-        transcript=list(session.turns),
-        attempts=attempts,
-        error="plan attempts exhausted",
-        violations=tuple(f for f in last_failures if isinstance(f, Violation)),
+    goal, _ = _exchange(
+        backend, session, config, goal_prompt(request),
+        lambda reply: _goal_attempt(reply, config.tolerance), _goal_repair_prompt,
     )
+    if isinstance(goal, GatewayError):
+        return outcome(BACKEND_FAILED, error=str(goal))
+    if isinstance(goal, list):
+        return outcome(PLAN_FAILED, error=f"goal extraction failed: {goal[0]}")
+
+    entry = templates.entries[req_type]
+    readings = read_sensors(world, arm, world.clock_start)
+    description = context_aware_description(readings, entry.description)
+    verdict, attempts = _exchange(
+        backend, session, config, build_few_shot_prompt(description, entry.examples, request),
+        lambda reply: _plan_attempt(reply, world, arm, goal, config), replan_feedback,
+    )
+    if isinstance(verdict, GatewayError):
+        return outcome(BACKEND_FAILED, attempts=attempts, error=str(verdict))
+    if isinstance(verdict, list):
+        violations = tuple(f for f in verdict if isinstance(f, Violation))
+        return outcome(
+            PLAN_FAILED, attempts=attempts, error="plan attempts exhausted", violations=violations
+        )
+    plan, schedule, log = verdict
+    return outcome(FULFILLED, plan=plan, schedule=schedule, event_log=log, attempts=attempts)

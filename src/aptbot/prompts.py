@@ -133,15 +133,11 @@ def classify_request(
     return _LETTER_TO_TYPE.get(letter, RequestType.UNKNOWN)
 
 
-def context_aware_description(
-    req_type: RequestType, readings: list[SensorReading], base: str
-) -> str:
+def context_aware_description(readings: list[SensorReading], base: str) -> str:
     """Append one `Current context:` line per sensor reading to the base text.
 
-    `req_type` mirrors the pipeline signature; the rendering itself is the
-    same for every type. No readings, no context block.
+    No readings, no context block.
     """
-    del req_type
     if not readings:
         return base
     lines = []
@@ -172,18 +168,6 @@ _SLOT_RES = {
     key: re.compile(rf"\b{key}\s*=\s*([^;\n]+)")
     for key in ("item", "qty", "companion", "time", "room")
 }
-
-
-def format_goal_slots(goal: Goal) -> str:
-    """Render a goal back into the slot line (inverse of parse_goal_slots)."""
-    if not goal.deliveries:
-        raise ValueError("goal has no deliveries to render")
-    item, qty = goal.deliveries[0]
-    companion = goal.deliveries[1][0] if len(goal.deliveries) > 1 else "none"
-    return (
-        f"item={item}; qty={qty}; companion={companion}; "
-        f"time={format_clock(goal.target_time)}; room={room_text(goal.destination)}"
-    )
 
 
 def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
@@ -219,25 +203,6 @@ def goal_prompt(request: str) -> str:
     return build_few_shot_prompt(GOAL_SLOT_DESCRIPTION, GOAL_SLOT_EXAMPLE, request)
 
 
-def extract_goal(
-    backend: Backend,
-    request: str,
-    req_type: RequestType,
-    *,
-    session: Session | None = None,
-    params: GenerationParams | None = None,
-    tolerance: int = 5,
-    input_limit: int | None = None,
-) -> Goal:
-    """Ask for the slot line and parse it; GoalSlotError carries the raw reply."""
-    if req_type is RequestType.UNKNOWN:
-        raise ValueError("cannot extract a goal for an unknown request type")
-    session = session if session is not None else Session()
-    params = params if params is not None else GenerationParams()
-    reply = complete(backend, session, goal_prompt(request), params, input_limit=input_limit)
-    return parse_goal_slots(reply, tolerance=tolerance)
-
-
 @dataclass(frozen=True)
 class TemplateEntry:
     description: str
@@ -257,11 +222,6 @@ class TemplateRepository:
                 continue
             if rt not in self.entries:
                 raise ValueError(f"missing template for {rt.name}")
-
-    def lookup(self, req_type: RequestType) -> TemplateEntry:
-        if req_type is RequestType.UNKNOWN:
-            raise KeyError("no template for unknown request type")
-        return self.entries[req_type]
 
 
 def _apartment_description(world: WorldModel) -> str:

@@ -1,5 +1,7 @@
 import copy
 
+import pytest
+
 from aptbot.agent import (
     BACKEND_FAILED,
     FULFILLED,
@@ -11,6 +13,7 @@ from aptbot.agent import (
 )
 from aptbot.gateway import ScriptedBackend, ScriptEntry
 from aptbot.plan import PlanParseError, serialize_plan
+from aptbot.simulator import FAULT, Event, EventLog
 from aptbot.validator import Violation
 from aptbot.world import ZArmState
 from conftest import CANONICAL_PLAN
@@ -105,6 +108,25 @@ def test_backend_failure_during_classification(world):
     assert "script" in outcome.error
 
 
+@pytest.mark.parametrize(
+    "replies, attempts",
+    [
+        ([], 0),
+        ([SLOT_LINE, "[9:56pm] Teleport to the kitchen"], 1),
+    ],
+    ids=["during-goal-extraction", "on-second-plan-attempt"],
+)
+def test_backend_failure_after_classification(world, replies, attempts):
+    entries = [ScriptEntry(response="(A)", contains="categorize it")]
+    entries += [ScriptEntry(response=r, step=i) for i, r in enumerate(replies, start=2)]
+    outcome = handle_request(REQUEST, world, _arm(), ScriptedBackend(entries))
+    assert outcome.status == BACKEND_FAILED
+    assert outcome.attempts == attempts
+    assert "script" in outcome.error
+    # Every answered exchange, the first plan exchange included, stays in the transcript.
+    assert [t.content for t in outcome.transcript[1::2]] == ["(A)", *replies]
+
+
 def test_malformed_goal_reply_is_repaired(world):
     backend = ScriptedBackend(
         [
@@ -148,6 +170,44 @@ def test_plan_exhaustion_reports_last_violations(world):
     assert outcome.status == PLAN_FAILED
     assert outcome.attempts == 2
     assert [v.kind for v in outcome.violations] == ["GoalUnmet"]
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        ("Pick 2 aspirin", "Pick 2 unobtainium", "unknown item 'unobtainium'"),
+        ("water to the living room", "water to the attic", "unknown room 'attic'"),
+    ],
+)
+def test_plan_failing_normalize_is_replanned(world, old, new, problem):
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(response="(A)", contains="categorize it"),
+            ScriptEntry(response=SLOT_LINE, contains="item="),
+            ScriptEntry(response=CANONICAL_PLAN.replace(old, new), step=3),
+            ScriptEntry(response=CANONICAL_PLAN, contains="Problems found:"),
+        ]
+    )
+    outcome = handle_request(REQUEST, world, _arm(), backend)
+    assert problem in outcome.transcript[6].content
+    assert outcome.status == FULFILLED
+    assert outcome.attempts == 2
+
+
+def test_execution_fault_is_fed_back_until_exhaustion(world, monkeypatch):
+    def faulting_execute(plan, world, arm, durations):
+        return EventLog([Event(plan.actions[0].start, FAULT, "arm jammed")], arm, FAULT, {})
+
+    monkeypatch.setattr("aptbot.agent.execute", faulting_execute)
+    config = AgentConfig(max_retries=2)
+    entries = [ScriptEntry(response="(A)", contains="categorize it")]
+    entries += [ScriptEntry(response=SLOT_LINE, contains="item=")]
+    entries += [ScriptEntry(response=CANONICAL_PLAN, step=3 + i) for i in range(3)]
+    outcome = handle_request(REQUEST, world, _arm(), ScriptedBackend(entries), config=config)
+    assert "EXECUTION_FAULT arm jammed" in outcome.transcript[6].content
+    assert outcome.status == PLAN_FAILED
+    assert outcome.attempts == config.max_retries + 1
+    assert outcome.violations == ()
 
 
 def test_replan_feedback_is_deterministic_and_complete():

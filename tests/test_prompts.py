@@ -15,9 +15,7 @@ from aptbot.prompts import (
     classify_request,
     context_aware_description,
     default_templates,
-    extract_goal,
     extract_option,
-    format_goal_slots,
     news_fixture_prompts,
     parse_goal_slots,
 )
@@ -139,7 +137,7 @@ def test_classify_request_maps_letters(reply, expected):
 def test_context_aware_description_appends_readings(world):
     arm = ZArmState(location="living_room")
     readings = read_sensors(world, arm, world.clock_start)
-    text = context_aware_description(RequestType.A_TAKE_MEDICINE, readings, "BASE")
+    text = context_aware_description(readings, "BASE")
     assert text == (
         "BASE\n\nCurrent context:\n"
         "living_room/clock: 9:54pm (t=9:54pm)\n"
@@ -156,12 +154,12 @@ def test_context_aware_description_with_unit():
         location="bedroom",
         timestamp=parse_clock("9:54pm"),
     )
-    text = context_aware_description(RequestType.B_APPLIANCE_CONTROL, [reading], "B")
+    text = context_aware_description([reading], "B")
     assert text.endswith("bedroom/thermo: 21 C (t=9:54pm)")
 
 
 def test_context_aware_description_without_readings_is_base():
-    assert context_aware_description(RequestType.C_FOOD_BEVERAGE, [], "BASE") == "BASE"
+    assert context_aware_description([], "BASE") == "BASE"
 
 
 def test_parse_goal_slots_spec_example():
@@ -184,8 +182,7 @@ def test_parse_goal_slots_companion_none():
 
 
 def test_goal_slots_round_trip(medication_goal):
-    line = format_goal_slots(medication_goal)
-    assert line == "item=aspirin; qty=2; companion=water; time=10:00pm; room=living room"
+    line = "item=aspirin; qty=2; companion=water; time=10:00pm; room=living room"
     assert parse_goal_slots(line) == medication_goal
 
 
@@ -205,33 +202,16 @@ def test_parse_goal_slots_rejects_malformed(bad):
     assert exc_info.value.raw == bad
 
 
-def test_extract_goal_via_scripted_backend(world):
-    backend = _backend(
-        "item=aspirin; qty=2; companion=water; time=10:00pm; room=living room"
-    )
-    goal = extract_goal(backend, "bring aspirin", RequestType.A_TAKE_MEDICINE)
-    assert goal.deliveries == (("aspirin", 2), ("water", 1))
-    assert goal.destination == "living_room"
-    assert goal.target_time == parse_clock("10:00pm")
-    assert goal.tolerance == 5
-    assert goal.require_terminal_dock
-
-
 def test_default_templates_cover_every_known_type(world):
     repo = default_templates(world)
     for req_type in RequestType:
         if req_type is RequestType.UNKNOWN:
             continue
-        entry = repo.lookup(req_type)
+        entry = repo.entries[req_type]
         assert entry.description
         assert entry.examples
         assert "item=" not in entry.description
         assert "Current context:" not in entry.description
-
-
-def test_template_lookup_rejects_unknown_type(world):
-    with pytest.raises(KeyError):
-        default_templates(world).lookup(RequestType.UNKNOWN)
 
 
 def test_template_worked_examples_contain_parseable_plans(world):
@@ -241,13 +221,13 @@ def test_template_worked_examples_contain_parseable_plans(world):
         RequestType.B_APPLIANCE_CONTROL,
         RequestType.C_FOOD_BEVERAGE,
     ):
-        plan = parse_plan(repo.lookup(req_type).examples)
+        plan = parse_plan(repo.entries[req_type].examples)
         assert len(plan.actions) >= 5
 
 
 def test_medicine_template_example_validates(world):
     repo = default_templates(world)
-    plan = parse_plan(repo.lookup(RequestType.A_TAKE_MEDICINE).examples)
+    plan = parse_plan(repo.entries[RequestType.A_TAKE_MEDICINE].examples)
     plan = normalize(plan, world, "living_room")
     goal = Goal(
         deliveries=(("ibuprofen", 1), ("water", 1)),
