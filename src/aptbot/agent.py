@@ -27,7 +27,9 @@ from .prompts import (
     parse_goal_slots,
 )
 from .simulator import FAULT, EventLog, execute
-from .validator import DurationModel, Goal, ScheduledAction, Violation, validate
+from .validator import (
+    DurationModel, Goal, ScheduledAction, UnachievableGoalError, Violation, goal_waypoints, validate,
+)
 from .world import WorldModel, ZArmState, read_sensors
 
 FULFILLED = "fulfilled"
@@ -129,28 +131,19 @@ def _exchange(
     prompt: str,
     judge: Callable[[str], object],
     feedback: Callable[[list], str],
-) -> tuple[object, int]:
+) -> object:
     """Send `prompt` and judge the reply, re-asking up to `max_retries` times.
 
     `judge` returns an accepted value or a list of failures, which
-    `feedback` turns into the next prompt. Returns the last verdict (or the
-    GatewayError that cut the exchange short) and the replies judged.
+    `feedback` turns into the next prompt. Returns the last verdict; a
+    GatewayError propagates, and the session keeps every judged exchange.
     """
-    verdict: object = None
-    attempts = 0
     for _ in range(config.max_retries + 1):
-        try:
-            reply = complete(
-                backend, session, prompt, config.params, input_limit=config.token_budget
-            )
-        except GatewayError as exc:
-            return exc, attempts
-        attempts += 1
-        verdict = judge(reply)
+        verdict = judge(complete(backend, session, prompt, config.params, config.token_budget))
         if not isinstance(verdict, list):
             break
         prompt = feedback(verdict)
-    return verdict, attempts
+    return verdict
 
 
 def handle_request(
@@ -169,47 +162,42 @@ def handle_request(
     config = config if config is not None else AgentConfig()
     templates = templates if templates is not None else default_templates(world)
     session = Session()
+    plan_from = None  # index of the first plan turn, once the plan prompt is sent
 
     def outcome(status: str, **fields) -> RequestOutcome:
-        return RequestOutcome(status, transcript=list(session.turns), **fields)
+        # `complete` records exactly one pair per judged reply, so the plan
+        # attempts are the pairs recorded since the plan prompt.
+        attempts = 0 if plan_from is None else (len(session.turns) - plan_from) // 2
+        return RequestOutcome(status, transcript=list(session.turns), attempts=attempts, **fields)
 
     try:
-        req_type = classify_request(
-            backend,
-            request,
-            session=session,
-            params=config.params,
-            input_limit=config.token_budget,
+        req_type = classify_request(backend, request, session, config.params, config.token_budget)
+        if req_type is RequestType.UNKNOWN:
+            raw = session.turns[-1].content
+            return outcome(REJECTED_UNKNOWN_TYPE, error=f"unrecognized request type: {raw!r}")
+
+        goal = _exchange(
+            backend, session, config, goal_prompt(request),
+            lambda reply: _goal_attempt(reply, config.tolerance), _goal_repair_prompt,
+        )
+        if isinstance(goal, list):
+            return outcome(PLAN_FAILED, error=f"goal extraction failed: {goal[0]}")
+        goal_waypoints(world, goal)  # no plan can serve an item no facility stocks
+
+        entry = templates.entries[req_type]
+        readings = read_sensors(world, arm, world.clock_start)
+        description = context_aware_description(readings, entry.description)
+        plan_from = len(session.turns)
+        verdict = _exchange(
+            backend, session, config, build_few_shot_prompt(description, entry.examples, request),
+            lambda reply: _plan_attempt(reply, world, arm, goal, config), replan_feedback,
         )
     except GatewayError as exc:
         return outcome(BACKEND_FAILED, error=str(exc))
-
-    if req_type is RequestType.UNKNOWN:
-        raw = session.turns[-1].content if session.turns else ""
-        return outcome(REJECTED_UNKNOWN_TYPE, error=f"unrecognized request type: {raw!r}")
-
-    goal, _ = _exchange(
-        backend, session, config, goal_prompt(request),
-        lambda reply: _goal_attempt(reply, config.tolerance), _goal_repair_prompt,
-    )
-    if isinstance(goal, GatewayError):
-        return outcome(BACKEND_FAILED, error=str(goal))
-    if isinstance(goal, list):
-        return outcome(PLAN_FAILED, error=f"goal extraction failed: {goal[0]}")
-
-    entry = templates.entries[req_type]
-    readings = read_sensors(world, arm, world.clock_start)
-    description = context_aware_description(readings, entry.description)
-    verdict, attempts = _exchange(
-        backend, session, config, build_few_shot_prompt(description, entry.examples, request),
-        lambda reply: _plan_attempt(reply, world, arm, goal, config), replan_feedback,
-    )
-    if isinstance(verdict, GatewayError):
-        return outcome(BACKEND_FAILED, attempts=attempts, error=str(verdict))
+    except UnachievableGoalError as exc:
+        return outcome(PLAN_FAILED, error=str(exc))
     if isinstance(verdict, list):
         violations = tuple(f for f in verdict if isinstance(f, Violation))
-        return outcome(
-            PLAN_FAILED, attempts=attempts, error="plan attempts exhausted", violations=violations
-        )
+        return outcome(PLAN_FAILED, error="plan attempts exhausted", violations=violations)
     plan, schedule, log = verdict
-    return outcome(FULFILLED, plan=plan, schedule=schedule, event_log=log, attempts=attempts)
+    return outcome(FULFILLED, plan=plan, schedule=schedule, event_log=log)

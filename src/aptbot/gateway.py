@@ -81,20 +81,18 @@ def count_tokens(text: str) -> int:
 def render_history(session: Session, token_budget: int) -> list[ChatMessage]:
     """Messages that fit the budget: pinned first, then newest whole pairs.
 
-    The pinned message always survives. Pairs are retained newest-first
-    until one no longer fits, so the result is a suffix of the history;
-    a user message is never kept without its reply.
+    The pinned message always survives; a budget that cannot hold it is a
+    `TokenLimitError`. Pairs are retained newest-first until one no longer
+    fits, so the result is a suffix of the history; a user message is never
+    kept without its reply.
     """
-    remaining = token_budget
     rendered: list[ChatMessage] = []
+    remaining = token_budget
     if session.pinned is not None:
-        cost = count_tokens(session.pinned.content)
-        if cost > remaining:
-            raise TokenLimitError(
-                f"pinned message needs {cost} tokens, budget is {remaining}"
-            )
         rendered.append(session.pinned)
-        remaining -= cost
+        remaining -= count_tokens(session.pinned.content)
+    if remaining < 0:
+        raise TokenLimitError(f"input is {-remaining} tokens over the token budget")
     kept: list[ChatMessage] = []
     for user_msg, assistant_msg in reversed(session.pairs()):
         cost = count_tokens(user_msg.content) + count_tokens(assistant_msg.content)
@@ -107,8 +105,6 @@ def render_history(session: Session, token_budget: int) -> list[ChatMessage]:
 
 
 class Backend(Protocol):
-    input_token_limit: int
-
     def generate(self, messages: list[ChatMessage], params: GenerationParams) -> str: ...
 
 
@@ -117,30 +113,19 @@ def complete(
     session: Session,
     prompt: str,
     params: GenerationParams,
-    *,
-    input_limit: int | None = None,
+    token_budget: int,
 ) -> str:
     """One exchange: render history, call the backend, record the pair.
 
-    The budget check happens before any backend call; an oversized prompt
-    fails fast and leaves the session untouched. The new pair is appended
-    only after the backend returns, so a failed call leaves no half-turn.
+    `token_budget` bounds the prompt plus the rendered history. The history
+    is rendered into what the prompt leaves, so a prompt that leaves no room
+    for the pinned message fails there, before any backend call, and leaves
+    the session untouched. The new pair is appended only after the backend
+    returns, so a failed call leaves no half-turn.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
-    limit = input_limit if input_limit is not None else backend.input_token_limit
-    prompt_cost = count_tokens(prompt)
-    history_budget = limit - prompt_cost
-    pinned_cost = (
-        count_tokens(session.pinned.content) if session.pinned is not None else 0
-    )
-    if history_budget < pinned_cost:
-        raise TokenLimitError(
-            f"prompt needs {prompt_cost} tokens but only "
-            f"{max(limit - pinned_cost, 0)} of the {limit}-token input limit "
-            "is available"
-        )
-    messages = render_history(session, history_budget)
+    messages = render_history(session, token_budget - count_tokens(prompt))
     messages.append(ChatMessage("user", prompt))
     reply = backend.generate(messages, params)
     session.append_pair(prompt, reply)
@@ -173,9 +158,8 @@ class ScriptEntry:
 class ScriptedBackend:
     """Deterministic backend replaying scripted responses, each used once."""
 
-    def __init__(self, entries: list[ScriptEntry], input_token_limit: int = 8192):
+    def __init__(self, entries: list[ScriptEntry]):
         self.entries = entries
-        self.input_token_limit = input_token_limit
         self.calls = 0
 
     def generate(self, messages: list[ChatMessage], params: GenerationParams) -> str:
@@ -193,7 +177,7 @@ class ScriptedBackend:
         )
 
     @classmethod
-    def from_config(cls, raw_entries: list[dict], input_token_limit: int = 8192) -> "ScriptedBackend":
+    def from_config(cls, raw_entries: list[dict]) -> "ScriptedBackend":
         entries = []
         for i, raw in enumerate(raw_entries):
             if not isinstance(raw, dict) or set(raw) != {"match", "response"}:
@@ -210,7 +194,7 @@ class ScriptedBackend:
             if not isinstance(raw["response"], str):
                 raise ValueError(f"script entry {i} response must be a string")
             entries.append(ScriptEntry(response=raw["response"], **{key: value}))
-        return cls(entries, input_token_limit)
+        return cls(entries)
 
 
 ENV_API_URL = "LCAC_API_URL"
@@ -225,13 +209,11 @@ class HTTPBackend:
         self,
         url: str,
         api_key: str,
-        input_token_limit: int = 8192,
         timeout: float = 30.0,
         retries: int = 1,
     ):
         self.url = url
         self.api_key = api_key
-        self.input_token_limit = input_token_limit
         self.timeout = timeout
         self.retries = retries
 

@@ -12,32 +12,10 @@ from __future__ import annotations
 from itertools import permutations
 
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
-from .validator import DurationModel, Goal
-from .world import WorldError, WorldModel, item_location, travel_time
+from .validator import DurationModel, Goal, goal_waypoints
+from .world import WorldModel, travel_time
 
 MAX_WAYPOINTS = 8
-
-
-class UnachievableGoalError(ValueError):
-    def __init__(self, missing: list[str]):
-        super().__init__(f"required items not stocked anywhere: {', '.join(missing)}")
-        self.missing = missing
-
-
-def _waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
-    """(room, item, qty, facility kind) per required item; fails listing unstocked items."""
-    missing = []
-    out = []
-    for item, qty in goal.deliveries:
-        try:
-            facility = item_location(world, item)
-        except WorldError:
-            missing.append(item)
-            continue
-        out.append((facility.location, item, qty, facility.kind))
-    if missing:
-        raise UnachievableGoalError(missing)
-    return out
 
 
 def _build(
@@ -111,7 +89,7 @@ def _candidates(
     start_docked: bool,
 ) -> list[tuple[tuple[str, ...], tuple[str, ...], ActionPlan, int | None, int]]:
     """All feasible orderings as (rooms, items, plan, delivery, completion)."""
-    waypoints = sorted(_waypoints(world, goal))
+    waypoints = sorted(goal_waypoints(world, goal))
     if len(waypoints) > max_waypoints:
         raise ValueError(f"too many waypoints: {len(waypoints)} > {max_waypoints}")
     seen: set[tuple[tuple[str, str, int, str], ...]] = set()

@@ -119,16 +119,13 @@ def extract_option(answer: str) -> str | None:
 def classify_request(
     backend: Backend,
     request: str,
-    *,
-    session: Session | None = None,
-    params: GenerationParams | None = None,
-    input_limit: int | None = None,
+    session: Session,
+    params: GenerationParams,
+    token_budget: int,
 ) -> RequestType:
     """One-shot classification via the frozen fixture prompt."""
     prompt = build_few_shot_prompt(CLASSIFY_DESCRIPTION, CLASSIFY_EXAMPLE, request)
-    session = session if session is not None else Session()
-    params = params if params is not None else GenerationParams()
-    answer = complete(backend, session, prompt, params, input_limit=input_limit)
+    answer = complete(backend, session, prompt, params, token_budget)
     letter = extract_option(answer)
     return _LETTER_TO_TYPE.get(letter, RequestType.UNKNOWN)
 

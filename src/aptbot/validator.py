@@ -26,7 +26,7 @@ from .plan import (
     Wait,
     required_room,
 )
-from .world import WorldModel, travel_time
+from .world import WorldError, WorldModel, item_location, travel_time
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,28 @@ class Goal:
         for _, qty in self.deliveries:
             if qty < 1:
                 raise ValueError("delivery quantities must be positive")
+
+
+class UnachievableGoalError(ValueError):
+    def __init__(self, missing: list[str]):
+        super().__init__(f"required items not stocked anywhere: {', '.join(missing)}")
+        self.missing = missing
+
+
+def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
+    """(room, item, qty, facility kind) per required item; fails listing unstocked items."""
+    missing = []
+    out = []
+    for item, qty in goal.deliveries:
+        try:
+            facility = item_location(world, item)
+        except WorldError:
+            missing.append(item)
+            continue
+        out.append((facility.location, item, qty, facility.kind))
+    if missing:
+        raise UnachievableGoalError(missing)
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,13 @@ def child_env(base=None) -> dict:
     """Environment for a child Python process that imports aptbot from `src`.
 
     Starts from `base` (default: this process's environment) and puts `src`
-    first on PYTHONPATH, so subprocess tests run from a bare checkout.
+    first on PYTHONPATH, so subprocess tests run from a bare checkout. A
+    PYTHONDONTWRITEBYTECODE setting is always carried over, so no child
+    writes `__pycache__` into the checkout when the suite asks for none.
     """
     env = dict(os.environ if base is None else base)
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env.setdefault("PYTHONDONTWRITEBYTECODE", os.environ["PYTHONDONTWRITEBYTECODE"])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
     return env
 

@@ -395,8 +395,8 @@ def test_criterion_8_wire_shape():
             backend = HTTPBackend(server.url, api_key="stub-key")
             session = Session(pinned=ChatMessage("system", "keep answers short"))
             params = GenerationParams(temperature=0.2, max_output_tokens=64)
-            complete(backend, session, "first question", params)
-            complete(backend, session, "second question", params)
+            complete(backend, session, "first question", params, 8192)
+            complete(backend, session, "second question", params, 8192)
 
             assert len(server.bodies) == 2
             for body in server.bodies:

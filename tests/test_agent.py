@@ -1,6 +1,9 @@
 import copy
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aptbot.agent import (
     BACKEND_FAILED,
@@ -13,9 +16,10 @@ from aptbot.agent import (
 )
 from aptbot.gateway import ScriptedBackend, ScriptEntry
 from aptbot.plan import PlanParseError, serialize_plan
+from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
-from aptbot.validator import Violation
-from aptbot.world import ZArmState
+from aptbot.validator import DurationModel, Violation, validate
+from aptbot.world import ZArmState, default_world
 from conftest import CANONICAL_PLAN
 
 REQUEST = (
@@ -141,6 +145,32 @@ def test_malformed_goal_reply_is_repaired(world):
     assert outcome.attempts == 1
 
 
+def test_prompt_over_the_token_budget_fails_before_any_call(world):
+    backend = _happy_backend()
+    outcome = handle_request(REQUEST, world, _arm(), backend, config=AgentConfig(token_budget=10))
+    assert outcome.status == BACKEND_FAILED
+    assert "token budget" in outcome.error
+    assert backend.calls == 0
+    assert outcome.transcript == []
+
+
+def test_goal_no_facility_stocks_ends_before_planning(world):
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(response="(B)", contains="categorize it"),
+            ScriptEntry(
+                response="item=none; qty=1; companion=none; time=10:02pm; room=bathroom",
+                contains="item=",
+            ),
+        ]
+    )
+    outcome = handle_request("check on the heater in the bathroom at 10:02pm", world, _arm(), backend)
+    assert outcome.status == PLAN_FAILED
+    assert backend.calls == 2
+    assert outcome.attempts == 0
+    assert outcome.error == "required items not stocked anywhere: none"
+
+
 def test_goal_extraction_exhaustion_fails_the_request(world):
     backend = ScriptedBackend(
         [
@@ -226,3 +256,98 @@ def test_replan_feedback_is_deterministic_and_complete():
         "PARSE_ERROR line=2 reason=malformed time\n"
         "unknown item 'unobtainium'"
     )
+
+
+class _RecordingBackend(ScriptedBackend):
+    """Answers call k with the k-th reply and records every prompt sent."""
+
+    def __init__(self, replies):
+        super().__init__([ScriptEntry(response=r, step=k) for k, r in enumerate(replies, start=1)])
+        self.prompts = []
+
+    def generate(self, messages, params):
+        self.prompts.append(messages[-1].content)
+        return super().generate(messages, params)
+
+
+def _mutated(text, how, i, j):
+    """`text` with line i dropped, doubled, swapped with line j, re-timed or garbled."""
+    lines = text.split("\n")
+    i, j = i % len(lines), j % len(lines)
+    if how == "drop":
+        del lines[i]
+    elif how == "double":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "shift":
+        lines[i] = re.sub(r":(\d\d)", lambda m: f":{(int(m[1]) + 7 * (j + 1)) % 60:02d}", lines[i])
+    elif how == "room":
+        lines[i] = re.sub(r"kitchen|storeroom|living room", "attic", lines[i])
+    elif how == "item":
+        lines[i] = re.sub(r"aspirin|water", "unobtainium", lines[i])
+    else:
+        lines[i] = re.sub(r"(?<=\] )\w+", "Zorp", lines[i])
+    return "\n".join(lines)
+
+
+@st.composite
+def _reply(draw, golden, goldens):
+    """`golden` itself (weight `goldens`), mutated, arbitrary text (no lone surrogates) or nothing."""
+    kind = draw(st.sampled_from(["golden"] * goldens + ["mutated", "mutated", "text", "empty"]))
+    if kind == "golden":
+        return golden
+    if kind == "mutated":
+        how = draw(st.sampled_from(["drop", "double", "swap", "shift", "room", "item", "verb"]))
+        return _mutated(golden, how, draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+    if kind == "text":
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=60))
+    return ""
+
+
+@st.composite
+def _scripts(draw):
+    max_retries = draw(st.integers(0, 2))
+    most_calls = 1 + 2 * (max_retries + 1)
+    # Weighted so that most scripts get past classification and goal extraction.
+    goldens = [("(A)", 4), (SLOT_LINE, 2)] + [(CANONICAL_PLAN, 2)] * (most_calls - 2)
+    length = draw(st.integers(0, most_calls) | st.just(most_calls))
+    return max_retries, [draw(_reply(*g)) for g in goldens[:length]]
+
+
+_STATUSES = {FULFILLED, REJECTED_UNKNOWN_TYPE, PLAN_FAILED, BACKEND_FAILED}
+_PLAN_DESCRIPTION = "You control a mobile z-arm robot"
+_REPLAN_HEAD = "The previous plan was not acceptable."
+
+
+@given(_scripts())
+@settings(max_examples=200, deadline=None)
+def test_agent_loop_survives_hostile_replies(script):
+    max_retries, replies = script
+    world, config = default_world("9:54pm"), AgentConfig(max_retries=max_retries)
+    backend = _RecordingBackend(replies)
+    outcome = handle_request(REQUEST, world, _arm(), backend, config=config)
+
+    assert outcome.status in _STATUSES
+    assert outcome.attempts <= max_retries + 1
+    assert backend.calls <= 1 + 2 * (max_retries + 1)
+    turns = outcome.transcript
+    plan_at = [
+        k for k in range(0, len(turns), 2)
+        if _PLAN_DESCRIPTION in turns[k].content or turns[k].content.startswith(_REPLAN_HEAD)
+    ]
+    assert outcome.attempts == len(plan_at)
+    if outcome.status == FULFILLED:
+        goal = parse_goal_slots(turns[plan_at[0] - 1].content)  # the accepted goal reply
+        start = ("living_room", world.clock_start)
+        assert validate(outcome.plan, world, goal, DurationModel(), start, start_docked=True).ok
+        assert outcome.event_log.outcome == "completed"
+        assert outcome.event_log.final_state.docked
+        assert outcome.event_log.final_state.charging
+    for prompt in backend.prompts:
+        if prompt.startswith(_REPLAN_HEAD):
+            assert prompt.split("Problems found:", 1)[1].strip()
+
+    again = _RecordingBackend(replies)
+    assert handle_request(REQUEST, world, _arm(), again, config=config) == outcome
+    assert again.prompts == backend.prompts

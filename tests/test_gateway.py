@@ -24,6 +24,7 @@ from aptbot.gateway import (
 from stub_server import StubChatServer
 
 PARAMS = GenerationParams()
+BUDGET = 8192
 
 
 def test_count_tokens_rounds_up():
@@ -80,7 +81,7 @@ def test_render_history_pinned_over_budget_is_an_error():
 def test_complete_appends_pair_and_returns_reply():
     backend = ScriptedBackend([ScriptEntry(response="pong", contains="ping")])
     session = Session()
-    reply = complete(backend, session, "ping", PARAMS)
+    reply = complete(backend, session, "ping", PARAMS, BUDGET)
     assert reply == "pong"
     assert [(m.role, m.content) for m in session.turns] == [
         ("user", "ping"),
@@ -92,46 +93,46 @@ def test_complete_passes_history_to_backend():
     seen = []
 
     class Spy:
-        input_token_limit = 8192
-
         def generate(self, messages, params):
             seen.append([m.content for m in messages])
             return "ok"
 
     session = Session()
-    complete(Spy(), session, "first", PARAMS)
-    complete(Spy(), session, "second", PARAMS)
+    complete(Spy(), session, "first", PARAMS, BUDGET)
+    complete(Spy(), session, "second", PARAMS, BUDGET)
     assert seen[1] == ["first", "ok", "second"]
 
 
 def test_complete_rejects_empty_prompt():
     backend = ScriptedBackend([])
     with pytest.raises(ValueError):
-        complete(backend, Session(), "", PARAMS)
+        complete(backend, Session(), "", PARAMS, BUDGET)
 
 
 def test_complete_oversized_prompt_fails_before_backend_call():
     calls = []
 
     class Spy:
-        input_token_limit = 4
-
         def generate(self, messages, params):
             calls.append(messages)
             return "never"
 
     session = Session()
     with pytest.raises(TokenLimitError):
-        complete(Spy(), session, "this prompt is far too large", PARAMS)
+        complete(Spy(), session, "this prompt is far too large", PARAMS, 4)
+    # A prompt that fits alone but not beside the pinned message fails the same way.
+    pinned = Session(pinned=ChatMessage("system", "x" * 40))
+    with pytest.raises(TokenLimitError):
+        complete(Spy(), pinned, "ping", PARAMS, count_tokens("x" * 40))
     assert calls == []
-    assert session.turns == []
+    assert session.turns == pinned.turns == []
 
 
 def test_complete_failed_backend_leaves_session_unchanged():
     backend = ScriptedBackend([])
     session = Session()
     with pytest.raises(ScriptExhaustedError):
-        complete(backend, session, "anything", PARAMS)
+        complete(backend, session, "anything", PARAMS, BUDGET)
     assert session.turns == []
 
 

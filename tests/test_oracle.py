@@ -1,9 +1,9 @@
 import pytest
 
 from aptbot.clock import parse_clock
-from aptbot.oracle import UnachievableGoalError, enumerate_feasible, plan_oracle
+from aptbot.oracle import enumerate_feasible, plan_oracle
 from aptbot.plan import Charge, Deliver, Dock, serialize_plan
-from aptbot.validator import DurationModel, Goal, validate
+from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
 from aptbot.world import default_world
 from conftest import CANONICAL_PLAN
 

@@ -172,6 +172,12 @@ def test_normalize_rejects_unknown_item(world):
         normalize(plan, world, "living_room")
 
 
+def test_normalize_rejects_unknown_move_destination(world):
+    plan = parse_plan("[9:56pm] Move to the attic")
+    with pytest.raises(NormalizeError, match="unknown room 'attic'"):
+        normalize(plan, world, "living_room")
+
+
 def test_normalize_rejects_unknown_start_room(world):
     plan = parse_plan("[9:58pm] Pick 1 aspirin")
     with pytest.raises(NormalizeError):
@@ -303,6 +309,7 @@ _PHRASES = st.builds(
 @example("return back to the charging port.")
 @example("Deliver 2 aspirin and 1 glass of water to the living room")
 @example("bring two, and 1 water to bedroom")
+@example("Deliver , to the kitchen")
 @example("Wait 0 minutes")
 @example("Fill a glass with the water")
 @example("take 2 pills of aspirin")

@@ -1,7 +1,7 @@
 import pytest
 
 from aptbot.clock import parse_clock
-from aptbot.gateway import ScriptedBackend, ScriptEntry
+from aptbot.gateway import GenerationParams, ScriptedBackend, ScriptEntry, Session
 from aptbot.plan import normalize, parse_plan
 from aptbot.prompts import (
     CLASSIFY_DESCRIPTION,
@@ -131,7 +131,8 @@ def _backend(response):
     ],
 )
 def test_classify_request_maps_letters(reply, expected):
-    assert classify_request(_backend(reply), "bring me aspirin") == expected
+    answer = classify_request(_backend(reply), "bring me aspirin", Session(), GenerationParams(), 8192)
+    assert answer == expected
 
 
 def test_context_aware_description_appends_readings(world):

@@ -117,6 +117,12 @@ def test_fault_on_deliver_without_payload_is_atomic(world):
     assert log.final_state.payload == [("aspirin", 1)]
 
 
+def test_fault_on_move_to_unknown_room(world):
+    log = _run_raw("[9:56pm] Move to the attic", world)
+    assert log.outcome == FAULT
+    assert log.events[-1].detail == "unknown room attic"
+
+
 def test_fault_on_charge_while_undocked(world):
     log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Start charging", world)
     assert log.outcome == FAULT
