@@ -18,7 +18,7 @@ from .prompts import (
     GOAL_SLOT_FORMAT,
     GoalSlotError,
     RequestType,
-    TemplateRepository,
+    TemplateEntry,
     build_few_shot_prompt,
     classify_request,
     context_aware_description,
@@ -152,7 +152,7 @@ def handle_request(
     arm: ZArmState,
     backend: Backend,
     config: AgentConfig | None = None,
-    templates: TemplateRepository | None = None,
+    templates: dict[RequestType, TemplateEntry] | None = None,
 ) -> RequestOutcome:
     """Drive one natural-language request end to end.
 
@@ -182,9 +182,9 @@ def handle_request(
         )
         if isinstance(goal, list):
             return outcome(PLAN_FAILED, error=f"goal extraction failed: {goal[0]}")
-        goal_waypoints(world, goal)  # no plan can serve an item no facility stocks
+        goal_waypoints(world, goal)  # no plan reaches an unknown room or unstocked item
 
-        entry = templates.entries[req_type]
+        entry = templates[req_type]
         readings = read_sensors(world, arm, world.clock_start)
         description = context_aware_description(readings, entry.description)
         plan_from = len(session.turns)

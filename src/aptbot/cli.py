@@ -8,18 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .agent import FULFILLED, AgentConfig, RequestOutcome, handle_request
+from .agent import FULFILLED, RequestOutcome, handle_request
 from .clock import format_clock
-from .gateway import (
-    BackendError,
-    ChatMessage,
-    GatewayError,
-    default_model_from_env,
-    http_backend_from_env,
-)
+from .gateway import BackendError, ChatMessage, default_model_from_env, http_backend_from_env
 from .plan import (
     NormalizeError,
     PlanParseError,
@@ -29,7 +22,7 @@ from .plan import (
     serialize_plan,
 )
 from .prompts import GoalSlotError, ScaffoldMarkerError, parse_goal_slots
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simulator import render_event_log
 from .validator import DurationModel, validate
 from .world import WorldError, ZArmState, default_world
@@ -121,18 +114,10 @@ def _print_outcome(outcome: RequestOutcome) -> None:
 def _cmd_repl(args: argparse.Namespace) -> int:
     if args.scenario:
         scenario = load_scenario(args.scenario)
-        world = scenario.world
-        templates = scenario.templates
-        config = scenario.config
         backend = scenario.make_backend()
     else:
         backend = http_backend_from_env()
-        world = default_world()
-        templates = None
-        config = AgentConfig()
-        config = replace(
-            config, params=replace(config.params, model_name=default_model_from_env())
-        )
+        scenario = parse_scenario({"config": {"model": default_model_from_env()}})
 
     interactive = sys.stdin.isatty()
     while True:
@@ -149,13 +134,13 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         try:
             outcome = handle_request(
                 request,
-                world,
-                fresh_arm(world),
+                scenario.world,
+                fresh_arm(scenario.world),
                 backend,
-                config=config,
-                templates=templates,
+                config=scenario.config,
+                templates=scenario.templates,
             )
-        except (GatewayError, ScaffoldMarkerError) as exc:
+        except ScaffoldMarkerError as exc:
             print(f"error: {exc}")
             continue
         _print_outcome(outcome)

@@ -202,20 +202,17 @@ ENV_API_KEY = "LCAC_API_KEY"
 ENV_MODEL = "LCAC_MODEL"
 
 
+# Transport retries after a failed attempt; a non-2xx reply is not retried.
+TRANSPORT_RETRIES = 1
+
+
 class HTTPBackend:
     """Chat-completion HTTP backend with a single transport retry."""
 
-    def __init__(
-        self,
-        url: str,
-        api_key: str,
-        timeout: float = 30.0,
-        retries: int = 1,
-    ):
+    def __init__(self, url: str, api_key: str, timeout: float = 30.0):
         self.url = url
         self.api_key = api_key
         self.timeout = timeout
-        self.retries = retries
 
     def generate(self, messages: list[ChatMessage], params: GenerationParams) -> str:
         # The network stack is imported here, not at module top, so that
@@ -237,7 +234,7 @@ class HTTPBackend:
             "Content-Type": "application/json",
         }
         last_error: Exception | None = None
-        for _ in range(self.retries + 1):
+        for _ in range(TRANSPORT_RETRIES + 1):
             try:
                 request = urllib.request.Request(
                     self.url, data=body, headers=headers, method="POST"

@@ -209,18 +209,6 @@ class TemplateEntry:
         check_slots(description=self.description, examples=self.examples)
 
 
-@dataclass(frozen=True)
-class TemplateRepository:
-    entries: dict[RequestType, TemplateEntry]
-
-    def __post_init__(self) -> None:
-        for rt in RequestType:
-            if rt is RequestType.UNKNOWN:
-                continue
-            if rt not in self.entries:
-                raise ValueError(f"missing template for {rt.name}")
-
-
 def _apartment_description(world: WorldModel) -> str:
     rooms = ", ".join(room_text(r) for r in world.rooms)
     placements = []
@@ -284,15 +272,14 @@ _BEVERAGE_EXAMPLE = (
 )
 
 
-def default_templates(world: WorldModel) -> TemplateRepository:
+def default_templates(world: WorldModel) -> dict[RequestType, TemplateEntry]:
+    """One template per known request type, each describing `world`."""
     base = _apartment_description(world)
-    return TemplateRepository(
-        {
-            RequestType.A_TAKE_MEDICINE: TemplateEntry(base, _MEDICINE_EXAMPLE),
-            RequestType.B_APPLIANCE_CONTROL: TemplateEntry(base, _APPLIANCE_EXAMPLE),
-            RequestType.C_FOOD_BEVERAGE: TemplateEntry(base, _BEVERAGE_EXAMPLE),
-        }
-    )
+    return {
+        RequestType.A_TAKE_MEDICINE: TemplateEntry(base, _MEDICINE_EXAMPLE),
+        RequestType.B_APPLIANCE_CONTROL: TemplateEntry(base, _APPLIANCE_EXAMPLE),
+        RequestType.C_FOOD_BEVERAGE: TemplateEntry(base, _BEVERAGE_EXAMPLE),
+    }
 
 
 # News fixtures: the classifier and recommender prompt pair exercising the

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .agent import AgentConfig
 from .gateway import GenerationParams, ScriptedBackend
-from .prompts import RequestType, TemplateEntry, TemplateRepository, check_slots, default_templates
+from .prompts import RequestType, TemplateEntry, check_slots, default_templates
 from .validator import DurationModel
 from .world import WorldError, WorldModel, typed, world_from_config
 
@@ -37,7 +37,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     world: WorldModel
-    templates: TemplateRepository
+    templates: dict[RequestType, TemplateEntry]
     script: tuple[dict, ...]
     requests: tuple[str, ...]
     config: AgentConfig
@@ -47,8 +47,8 @@ class Scenario:
         return ScriptedBackend.from_config(list(self.script))
 
 
-def _merge_templates(world: WorldModel, overrides: dict) -> TemplateRepository:
-    entries = dict(default_templates(world).entries)
+def _merge_templates(world: WorldModel, overrides: dict) -> dict[RequestType, TemplateEntry]:
+    entries = default_templates(world)
     for key, override in overrides.items():
         req_type = RequestType.__members__.get(key.upper(), RequestType.UNKNOWN)
         if req_type is RequestType.UNKNOWN:
@@ -65,7 +65,7 @@ def _merge_templates(world: WorldModel, overrides: dict) -> TemplateRepository:
             )
         except ValueError as exc:
             raise ScenarioError(f"template {key!r}: {exc}") from None
-    return TemplateRepository(entries)
+    return entries
 
 
 def _build_config(raw: dict) -> AgentConfig:

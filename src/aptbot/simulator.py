@@ -3,15 +3,16 @@
 The simulator trusts plan timestamps (the validator already checked them):
 gaps between completion and the next start are idle waiting. Actions obey
 the validator's world rules (`check`, `apply`). The first problem halts the
-run with an in-band `fault` event, before that action changes anything. On
-a world with a charging port `execute` raises for no plan, so transcripts
-stay replayable and the agent loop can feed the fault back to the model.
+run with an in-band `fault` event, before that action changes anything.
+Every world has a charging port, so no plan makes `execute` raise:
+transcripts stay replayable and the agent loop can feed the fault back to
+the model. The final arm state, charging included, comes from the run.
 Inputs are never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
@@ -65,13 +66,12 @@ def execute(
     durations: DurationModel,
 ) -> EventLog:
     run = start_run(world, arm.location, arm.docked, arm.payload)
-    state = replace(arm)  # the arm's charging flag; the rest comes from `run`
     events: list[Event] = []
     clock = world.clock_start
 
     def finish(outcome: str) -> EventLog:
-        state.location, state.docked = run.location, run.docked
-        state.payload = sorted(run.payload.items())
+        payload = sorted(run.payload.items())
+        state = ZArmState(run.location, payload, arm.capacity, run.docked, run.charging)
         return EventLog(events, state, outcome, run.delivered)
 
     def fault(time: int, reason: str) -> EventLog:
@@ -92,7 +92,6 @@ def execute(
                 return fault(t, "plan runs past midnight")
             events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))
             events.append(Event(arrive, "arrive", action.dest))
-            state.charging = False
         elif kind is Deliver and run.location != action.dest:
             return fault(t, f"not in {action.dest}")
         elif kind is Dock and run.location != world.charging_room:
@@ -112,7 +111,6 @@ def execute(
             events.append(Event(t, "dock", "at the charging port"))
         elif kind is Charge:
             events.append(Event(t, "charge_start", ""))
-            state.charging = True
         elif kind is Wait:
             unit = "minute" if action.minutes == 1 else "minutes"
             events.append(Event(t, "wait", f"{action.minutes} {unit}"))

@@ -59,13 +59,14 @@ class Goal:
 
 
 class UnachievableGoalError(ValueError):
-    def __init__(self, missing: list[str]):
-        super().__init__(f"required items not stocked anywhere: {', '.join(missing)}")
-        self.missing = missing
+    """No plan can meet the goal: the world lacks its room or its items."""
 
 
 def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
-    """(room, item, qty, facility kind) per required item; fails listing unstocked items."""
+    """(room, item, qty, facility kind) per required item; fails naming an
+    unknown destination room, or else every unstocked item."""
+    if goal.destination not in world.rooms:
+        raise UnachievableGoalError(f"destination room not in the world: {goal.destination}")
     missing = []
     out = []
     for item, qty in goal.deliveries:
@@ -76,7 +77,7 @@ def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, s
             continue
         out.append((facility.location, item, qty, facility.kind))
     if missing:
-        raise UnachievableGoalError(missing)
+        raise UnachievableGoalError(f"required items not stocked anywhere: {', '.join(missing)}")
     return out
 
 
@@ -130,6 +131,10 @@ class Violation:
         return cls("NotDockedAtEnd")
 
     @classmethod
+    def not_charging_at_end(cls) -> Violation:
+        return cls("NotChargingAtEnd")
+
+    @classmethod
     def time_wraparound(cls) -> Violation:
         return cls("TimeWraparound")
 
@@ -158,6 +163,7 @@ class RunState:
 
     location: str
     docked: bool
+    charging: bool
     payload: dict[str, int]
     stock: dict[tuple[str, str], int | None]
     delivered: dict[str, dict[str, int]]
@@ -166,9 +172,11 @@ class RunState:
 def start_run(
     world: WorldModel, location: str, docked: bool, payload: Iterable[tuple[str, int]] = ()
 ) -> RunState:
-    """The arm at `location` carrying `payload`, and a copy of the world's stock."""
+    """The arm at `location` carrying `payload`, and a copy of the world's stock.
+
+    A docked arm starts out charging."""
     stock = {(f.location, i): q for f in world.facilities for i, q in f.stock.items()}
-    return RunState(location, docked, dict(payload), stock, {})
+    return RunState(location, docked, docked, dict(payload), stock, {})
 
 
 def check(
@@ -208,7 +216,7 @@ def apply(run: RunState, world: WorldModel, action: Action, durations: DurationM
     kind = type(action)
     if kind is Move:
         minutes = travel_time(world, run.location, action.dest)
-        run.location, run.docked = action.dest, False
+        run.location, run.docked, run.charging = action.dest, False, False
         return minutes
     if kind is Pick or kind is Fill:
         item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
@@ -228,7 +236,10 @@ def apply(run: RunState, world: WorldModel, action: Action, durations: DurationM
     if kind is Dock:
         run.docked = True
         return durations.dock_min
-    return action.minutes if kind is Wait else 0  # Charge takes no time
+    if kind is Charge:
+        run.charging = True
+        return 0  # charging takes no time
+    return action.minutes  # Wait
 
 
 def check_deadline(schedule: list[ScheduledAction], goal: Goal) -> Violation | None:
@@ -262,9 +273,9 @@ def validate(
 
     Checks, in order: chronology (including travel gaps after moves),
     location continuity, the world rules of `check`, goal coverage, the
-    deadline window, and terminal docking. The plan should be canonical
-    (run `normalize` first); unknown rooms or items raise WorldError since
-    they indicate a non-normalized plan.
+    deadline window, and ending docked and charging. The plan should be
+    canonical (run `normalize` first); unknown rooms or items raise
+    WorldError since they indicate a non-normalized plan.
     """
     start_room, clock = start
     violations: list[Violation] = []
@@ -329,5 +340,7 @@ def validate(
 
     if goal.require_terminal_dock and not run.docked:
         violations.append(Violation.not_docked_at_end())
+    elif goal.require_terminal_dock and not run.charging:
+        violations.append(Violation.not_charging_at_end())
 
     return ValidationResult(None if violations else schedule, violations, run.delivered)

@@ -11,12 +11,15 @@ from dataclasses import dataclass, field
 
 from .clock import MINUTES_PER_DAY, ClockParseError, format_clock, parse_clock
 
-DEFAULT_ROOMS = ("living_room", "bedroom", "kitchen", "bathroom", "storeroom")
-
 # Sentinel stock quantity for items that never run out (tap water).
 UNBOUNDED = None
 
+# The default apartment: five rooms with uniform 2-minute travel. The medicine
+# box (storeroom) stocks aspirin and ibuprofen; the water cooler (kitchen)
+# stocks unbounded water and a glass; the charging port sits in the living room.
+DEFAULT_ROOMS = ("living_room", "bedroom", "kitchen", "bathroom", "storeroom")
 DEFAULT_TRAVEL_MINUTES = 2
+DEFAULT_CLOCK_START = "9:54pm"
 DEFAULT_CAPACITY = 2
 
 
@@ -30,6 +33,13 @@ class Facility:
     location: str
     # item name -> quantity; None means unbounded
     stock: dict[str, int | None] = field(default_factory=dict)
+
+
+DEFAULT_FACILITIES = (
+    Facility("water_cooler", "kitchen", {"water": UNBOUNDED, "glass": UNBOUNDED}),
+    Facility("medicine_box", "storeroom", {"aspirin": 10, "ibuprofen": 10}),
+    Facility("charging_port", "living_room", {}),
+)
 
 
 @dataclass(frozen=True)
@@ -59,13 +69,12 @@ class WorldModel:
                 if item in stocked:
                     raise WorldError(f"item {item!r} stocked in more than one facility")
                 stocked.add(item)
+        if not any(f.kind == "charging_port" for f in self.facilities):
+            raise WorldError("world has no charging_port facility")
 
     @property
     def charging_room(self) -> str:
-        for f in self.facilities:
-            if f.kind == "charging_port":
-                return f.location
-        raise WorldError("world has no charging_port facility")
+        return next(f.location for f in self.facilities if f.kind == "charging_port")
 
 
 @dataclass
@@ -87,30 +96,9 @@ class SensorReading:
     timestamp: int
 
 
-def default_world(clock_start: str | int = "9:54pm") -> WorldModel:
-    """The five-room apartment with uniform 2-minute travel.
-
-    Medicine box (storeroom) stocks aspirin and ibuprofen; the water cooler
-    (kitchen) stocks unbounded water and a glass; the charging port sits in
-    the living room.
-    """
-    if isinstance(clock_start, str):
-        clock_start = parse_clock(clock_start)
-    travel: dict[tuple[str, str], int] = {}
-    for a in DEFAULT_ROOMS:
-        for b in DEFAULT_ROOMS:
-            travel[(a, b)] = 0 if a == b else DEFAULT_TRAVEL_MINUTES
-    facilities = (
-        Facility("water_cooler", "kitchen", {"water": UNBOUNDED, "glass": UNBOUNDED}),
-        Facility("medicine_box", "storeroom", {"aspirin": 10, "ibuprofen": 10}),
-        Facility("charging_port", "living_room", {}),
-    )
-    return WorldModel(
-        rooms=DEFAULT_ROOMS,
-        travel=travel,
-        facilities=facilities,
-        clock_start=clock_start,
-    )
+def default_world(clock_start: str | int = DEFAULT_CLOCK_START) -> WorldModel:
+    """The default apartment, its clock starting at `clock_start`."""
+    return world_from_config({"clock_start": clock_start})
 
 
 def travel_time(world: WorldModel, from_room: str, to_room: str) -> int:
@@ -190,15 +178,14 @@ def world_from_config(config: dict) -> WorldModel:
     Recognized keys: rooms, travel, facilities, stock, clock_start,
     capacity. Unknown keys are rejected so scenario typos fail loudly.
     Travel overrides use "roomA,roomB" pair keys and apply symmetrically.
-    The world must have a charging_port facility.
+    Absent keys take the default apartment's values.
     """
     allowed = {"rooms", "travel", "facilities", "stock", "clock_start", "capacity"}
     unknown = set(config) - allowed
     if unknown:
         raise WorldError(f"unknown world keys: {sorted(unknown)}")
 
-    base = default_world()
-    rooms = tuple(typed(config, "rooms", list, base.rooms, item=str))
+    rooms = tuple(typed(config, "rooms", list, DEFAULT_ROOMS, item=str))
 
     travel: dict[tuple[str, str], int] = {}
     for a in rooms:
@@ -234,7 +221,7 @@ def world_from_config(config: dict) -> WorldModel:
             except WorldError as exc:
                 raise WorldError(f"facility {name!r}: {exc}") from None
     else:
-        facilities = [f for f in base.facilities if f.location in rooms]
+        facilities = [f for f in DEFAULT_FACILITIES if f.location in rooms]
 
     overrides = typed(config, "stock", dict, {})
     for kind, override in overrides.items():
@@ -246,19 +233,17 @@ def world_from_config(config: dict) -> WorldModel:
         for f in facilities
     )
 
-    clock_start = typed(config, "clock_start", (str, int), base.clock_start)
+    clock_start = typed(config, "clock_start", (str, int), DEFAULT_CLOCK_START)
     if isinstance(clock_start, str):
         try:
             clock_start = parse_clock(clock_start)
         except ClockParseError as exc:
             raise WorldError(f"clock_start: {exc}") from None
 
-    if not any(f.kind == "charging_port" for f in facilities):
-        raise WorldError("world has no charging_port facility")
     return WorldModel(
         rooms=rooms,
         travel=travel,
         facilities=facilities,
         clock_start=clock_start,
-        capacity=typed(config, "capacity", int, base.capacity),
+        capacity=typed(config, "capacity", int, DEFAULT_CAPACITY),
     )

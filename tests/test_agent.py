@@ -2,7 +2,7 @@ import copy
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aptbot.agent import (
@@ -14,7 +14,7 @@ from aptbot.agent import (
     handle_request,
     replan_feedback,
 )
-from aptbot.gateway import ScriptedBackend, ScriptEntry
+from aptbot.gateway import ScriptedBackend, ScriptEntry, count_tokens
 from aptbot.plan import PlanParseError, serialize_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
@@ -171,6 +171,24 @@ def test_goal_no_facility_stocks_ends_before_planning(world):
     assert outcome.error == "required items not stocked anywhere: none"
 
 
+def test_goal_for_an_unknown_room_ends_before_planning(world):
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(response="(A)", contains="categorize it"),
+            ScriptEntry(
+                response="item=aspirin; qty=2; companion=water; time=10:00pm; room=attic",
+                contains="item=",
+            ),
+            ScriptEntry(response=CANONICAL_PLAN, contains="Current context:"),
+        ]
+    )
+    outcome = handle_request(REQUEST, world, _arm(), backend)
+    assert outcome.status == PLAN_FAILED
+    assert backend.calls == 2
+    assert outcome.attempts == 0
+    assert outcome.error == "destination room not in the world: attic"
+
+
 def test_goal_extraction_exhaustion_fails_the_request(world):
     backend = ScriptedBackend(
         [
@@ -259,14 +277,16 @@ def test_replan_feedback_is_deterministic_and_complete():
 
 
 class _RecordingBackend(ScriptedBackend):
-    """Answers call k with the k-th reply and records every prompt sent."""
+    """Answers call k with the k-th reply; records every prompt and input size."""
 
     def __init__(self, replies):
         super().__init__([ScriptEntry(response=r, step=k) for k, r in enumerate(replies, start=1)])
         self.prompts = []
+        self.input_tokens = []
 
     def generate(self, messages, params):
         self.prompts.append(messages[-1].content)
+        self.input_tokens.append(sum(count_tokens(m.content) for m in messages))
         return super().generate(messages, params)
 
 
@@ -291,12 +311,19 @@ def _mutated(text, how, i, j):
     return "\n".join(lines)
 
 
+_BUDGET = AgentConfig().token_budget
+
+
 @st.composite
 def _reply(draw, golden, goldens):
-    """`golden` itself (weight `goldens`), mutated, arbitrary text (no lone surrogates) or nothing."""
-    kind = draw(st.sampled_from(["golden"] * goldens + ["mutated", "mutated", "text", "empty"]))
+    """`golden` itself (weight `goldens`), mutated, arbitrary text (no lone
+    surrogates), `golden` repeated past the token budget, or nothing."""
+    kinds = ["golden"] * goldens + ["mutated", "mutated", "text", "long", "empty"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "golden":
         return golden
+    if kind == "long":
+        return "\n".join([golden] * (4 * _BUDGET // len(golden) + 1))
     if kind == "mutated":
         how = draw(st.sampled_from(["drop", "double", "swap", "shift", "room", "item", "verb"]))
         return _mutated(golden, how, draw(st.integers(0, 9)), draw(st.integers(0, 9)))
@@ -321,6 +348,7 @@ _REPLAN_HEAD = "The previous plan was not acceptable."
 
 
 @given(_scripts())
+@example((0, ["(A)", SLOT_LINE, CANONICAL_PLAN.rsplit("\n", 1)[0]]))  # docked, not charging
 @settings(max_examples=200, deadline=None)
 def test_agent_loop_survives_hostile_replies(script):
     max_retries, replies = script
@@ -337,6 +365,7 @@ def test_agent_loop_survives_hostile_replies(script):
         if _PLAN_DESCRIPTION in turns[k].content or turns[k].content.startswith(_REPLAN_HEAD)
     ]
     assert outcome.attempts == len(plan_at)
+    assert all(size <= config.token_budget for size in backend.input_tokens)
     if outcome.status == FULFILLED:
         goal = parse_goal_slots(turns[plan_at[0] - 1].content)  # the accepted goal reply
         start = ("living_room", world.clock_start)

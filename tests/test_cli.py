@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptbot.cli import main
-from conftest import GOLDEN_DIR, SCENARIO_PATH, child_env
+from aptbot.prompts import RequestType, default_templates
+from aptbot.world import default_world
+from conftest import CANONICAL_PLAN, GOLDEN_DIR, SCENARIO_PATH, child_env
+from stub_server import StubChatServer
 
 
 def run_cli(*args, stdin_text=None, cwd=None):
@@ -318,6 +321,30 @@ def test_repl_without_scenario_requires_env(tmp_path):
     )
     assert proc.returncode == 2
     assert "LCAC_API_URL" in proc.stderr
+
+
+def test_repl_without_scenario_runs_the_default_apartment_over_http():
+    slot_line = "item=aspirin; qty=2; companion=water; time=10:00pm; room=living room"
+    with StubChatServer() as server:
+        for reply in ("(A)", slot_line, CANONICAL_PLAN):
+            server.queued.append((200, {"choices": [{"message": {"content": reply}}]}))
+        env = child_env()
+        env.update(LCAC_API_URL=server.url, LCAC_API_KEY="stub-key", LCAC_MODEL="stub-model")
+        proc = subprocess.run(
+            [sys.executable, "-m", "aptbot", "repl"],
+            input="please bring me two pills of aspirin with a glass of water "
+            "at 10:00pm in the living room\n",
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert "status: fulfilled" in proc.stdout
+    assert len(server.bodies) == 3
+    assert [body["model"] for body in server.bodies] == ["stub-model"] * 3
+    description = default_templates(default_world())[RequestType.A_TAKE_MEDICINE].description
+    assert description in server.bodies[2]["messages"][-1]["content"]
 
 
 def test_cli_import_loads_no_network_stack():

@@ -253,11 +253,11 @@ def test_http_backend_retries_connection_errors_then_gives_up():
         attempts.append(request.full_url)
         raise urllib.error.URLError(ConnectionRefusedError("refused"))
 
-    backend = HTTPBackend("http://stub.invalid/v1", api_key="k", retries=2)
+    backend = HTTPBackend("http://stub.invalid/v1", api_key="k")
     with mock.patch("urllib.request.urlopen", side_effect=refuse):
         with pytest.raises(BackendError) as exc_info:
             backend.generate([ChatMessage("user", "x")], PARAMS)
-    assert len(attempts) == 3
+    assert len(attempts) == 2  # the first try and the one retry
     assert str(exc_info.value).startswith("transport failure after retry: ")
 
 

@@ -52,6 +52,12 @@ def test_unstocked_item_is_unachievable(world):
         plan_oracle(world, goal, DurationModel(), START, start_docked=True)
 
 
+def test_unknown_destination_room_is_unachievable(world):
+    goal = Goal((("aspirin", 1),), "attic", parse_clock("10:00pm"))
+    with pytest.raises(UnachievableGoalError, match="destination room not in the world: attic"):
+        plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+
+
 def test_impossible_window_raises_value_error(world):
     goal = Goal(
         (("aspirin", 1),), "bedroom", parse_clock("9:57pm"), tolerance=0

@@ -204,11 +204,11 @@ def test_parse_goal_slots_rejects_malformed(bad):
 
 
 def test_default_templates_cover_every_known_type(world):
-    repo = default_templates(world)
+    templates = default_templates(world)
     for req_type in RequestType:
         if req_type is RequestType.UNKNOWN:
             continue
-        entry = repo.entries[req_type]
+        entry = templates[req_type]
         assert entry.description
         assert entry.examples
         assert "item=" not in entry.description
@@ -216,19 +216,19 @@ def test_default_templates_cover_every_known_type(world):
 
 
 def test_template_worked_examples_contain_parseable_plans(world):
-    repo = default_templates(world)
+    templates = default_templates(world)
     for req_type in (
         RequestType.A_TAKE_MEDICINE,
         RequestType.B_APPLIANCE_CONTROL,
         RequestType.C_FOOD_BEVERAGE,
     ):
-        plan = parse_plan(repo.entries[req_type].examples)
+        plan = parse_plan(templates[req_type].examples)
         assert len(plan.actions) >= 5
 
 
 def test_medicine_template_example_validates(world):
-    repo = default_templates(world)
-    plan = parse_plan(repo.entries[RequestType.A_TAKE_MEDICINE].examples)
+    templates = default_templates(world)
+    plan = parse_plan(templates[RequestType.A_TAKE_MEDICINE].examples)
     plan = normalize(plan, world, "living_room")
     goal = Goal(
         deliveries=(("ibuprofen", 1), ("water", 1)),

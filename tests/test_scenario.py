@@ -56,10 +56,10 @@ def test_template_override_merges_onto_defaults():
     scenario = parse_scenario(
         {"templates": {"A_take_medicine": {"description": "custom description"}}}
     )
-    entry = scenario.templates.entries[RequestType.A_TAKE_MEDICINE]
+    entry = scenario.templates[RequestType.A_TAKE_MEDICINE]
     assert entry.description == "custom description"
     assert "Request:" in entry.examples
-    untouched = scenario.templates.entries[RequestType.C_FOOD_BEVERAGE]
+    untouched = scenario.templates[RequestType.C_FOOD_BEVERAGE]
     assert "z-arm" in untouched.description
 
 

@@ -69,6 +69,13 @@ def test_move_undocks_and_stops_charging(world):
     assert log.final_state.location == "kitchen"
 
 
+def test_final_charging_comes_from_the_run(world):
+    log = _run(CANONICAL_PLAN.rsplit("\n", 1)[0], world)
+    assert log.final_state.docked and not log.final_state.charging
+    log = _run("[9:56pm] Wait 1 minute", world, ZArmState("living_room", docked=True))
+    assert log.final_state.charging
+
+
 def test_fault_on_action_in_the_past(world):
     log = _run("[9:50pm] Move to the kitchen", world)
     assert log.outcome == FAULT
@@ -232,7 +239,7 @@ def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
     rooms = list(default_world().rooms)
     items = ["aspirin", "ibuprofen", "water", "glass"]
     perturbed = accepted = rejected = 0
-    for _ in range(300):
+    for _ in range(400):
         travel = {f"{a},{b}": rng.randint(1, 4) for a in rooms for b in rooms if a < b}
         clock = rng.randint(360, 1200)
         world = world_from_config(

@@ -178,6 +178,17 @@ def test_missing_terminal_dock_flagged(world, medication_goal):
     assert [v.kind for v in result.violations] == ["NotDockedAtEnd"]
 
 
+def test_docked_but_not_charging_at_end_flagged(world, medication_goal):
+    text = CANONICAL_PLAN.rsplit("\n", 1)[0]
+    result = _validate(text, world, medication_goal)
+    assert [v.machine_line() for v in result.violations] == ["VIOLATION NotChargingAtEnd"]
+
+
+def test_docked_start_counts_as_charging(world):
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
+    assert _validate("[9:56pm] Wait 1 minute", world, goal).ok
+
+
 def test_charge_while_undocked_is_item_unavailable(world):
     goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
     result = _validate("[9:56pm] Start charging", world, goal, start_docked=False)

@@ -89,6 +89,5 @@ def test_world_requires_charging_port_for_charging_room():
     config = {"facilities": [{"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}}]}
     with pytest.raises(WorldError):
         world_from_config(config)
-    world = replace(default_world(), facilities=(Facility("water_cooler", "kitchen", {"water": None}),))
     with pytest.raises(WorldError):
-        world.charging_room
+        replace(default_world(), facilities=(Facility("water_cooler", "kitchen", {"water": None}),))
