@@ -3,7 +3,7 @@
 One request gets one fresh session. The model's plan text is parsed,
 normalized, and validated before anything is simulated; a plan that fails
 any check is bounced back to the model with a deterministic feedback
-prompt listing every problem, up to the retry budget. The arm never acts
+prompt listing its problems, up to the retry budget. The arm never acts
 on an unvalidated plan.
 """
 
@@ -36,6 +36,11 @@ FULFILLED = "fulfilled"
 REJECTED_UNKNOWN_TYPE = "rejected_unknown_type"
 PLAN_FAILED = "plan_failed"
 BACKEND_FAILED = "backend_failed"
+
+# A replan prompt lists at most this many problems, each cut to this many
+# characters, so its size does not grow with the reply it answers.
+FEEDBACK_PROBLEMS = 20
+FEEDBACK_PROBLEM_CHARS = 200
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def _failure_line(failure: Violation | PlanParseError | NormalizeError | str) ->
 
 
 def replan_feedback(failures: list) -> str:
-    """Deterministic correction prompt listing every problem found."""
+    """Deterministic correction prompt listing the first problems found."""
     if not failures:
         raise ValueError("replan_feedback needs at least one failure")
     lines = [
@@ -86,7 +91,9 @@ def replan_feedback(failures: list) -> str:
         "[9:56pm] Move to the kitchen",
         "Problems found:",
     ]
-    lines.extend(_failure_line(f) for f in failures)
+    lines.extend(_failure_line(f)[:FEEDBACK_PROBLEM_CHARS] for f in failures[:FEEDBACK_PROBLEMS])
+    if len(failures) > FEEDBACK_PROBLEMS:
+        lines.append(f"and {len(failures) - FEEDBACK_PROBLEMS} more problems")
     return "\n".join(lines)
 
 
@@ -182,11 +189,10 @@ def handle_request(
         )
         if isinstance(goal, list):
             return outcome(PLAN_FAILED, error=f"goal extraction failed: {goal[0]}")
-        goal_waypoints(world, goal)  # no plan reaches an unknown room or unstocked item
+        goal_waypoints(world, goal)  # no plan for an unknown room or a missing or short item
 
         entry = templates[req_type]
-        readings = read_sensors(world, arm, world.clock_start)
-        description = context_aware_description(readings, entry.description)
+        description = context_aware_description(read_sensors(world, arm), entry.description)
         plan_from = len(session.turns)
         verdict = _exchange(
             backend, session, config, build_few_shot_prompt(description, entry.examples, request),

@@ -121,13 +121,18 @@ def complete(
     is rendered into what the prompt leaves, so a prompt that leaves no room
     for the pinned message fails there, before any backend call, and leaves
     the session untouched. The new pair is appended only after the backend
-    returns, so a failed call leaves no half-turn.
+    returns a reply that encodes as UTF-8, so a failed call leaves no
+    half-turn and every recorded turn can be written out.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
     messages = render_history(session, token_budget - count_tokens(prompt))
     messages.append(ChatMessage("user", prompt))
     reply = backend.generate(messages, params)
+    try:
+        reply.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BackendError(f"reply is not UTF-8 text: {exc.reason} at index {exc.start}") from None
     session.append_pair(prompt, reply)
     return reply
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .clock import MINUTES_PER_DAY
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
 from .validator import DurationModel, Goal, goal_waypoints
 from .world import WorldModel, travel_time
@@ -71,7 +72,7 @@ def _build(
         if delivery_completion > goal.target_time + goal.tolerance:
             return None  # already too late; shifting only delays further
         shift = max(0, goal.target_time - delivery_completion)
-    if t + shift >= 1440:
+    if t + shift >= MINUTES_PER_DAY:
         return None
     if shift:
         actions = [TimedAction(a.start + shift, a.action) for a in actions]
@@ -92,6 +93,9 @@ def _candidates(
     waypoints = sorted(goal_waypoints(world, goal))
     if len(waypoints) > max_waypoints:
         raise ValueError(f"too many waypoints: {len(waypoints)} > {max_waypoints}")
+    kinds = len({item for _, item, _, _ in waypoints})
+    if kinds > world.capacity:  # one trip carries every item to the destination
+        raise ValueError(f"goal needs {kinds} item kinds at once, capacity is {world.capacity}")
     seen: set[tuple[tuple[str, str, int, str], ...]] = set()
     out = []
     for order in permutations(waypoints):

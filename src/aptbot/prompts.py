@@ -14,11 +14,11 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .clock import format_clock, parse_clock, ClockParseError
+from .clock import parse_clock, ClockParseError
 from .gateway import Backend, GenerationParams, Session, complete
 from .plan import room_id, room_text
 from .validator import Goal
-from .world import SensorReading, WorldModel
+from .world import WorldModel
 
 # Fixed scaffold with positional slots {0}=description, {1}=examples,
 # {2}=question. Do not "fix" the spacing; it is part of the contract.
@@ -130,17 +130,8 @@ def classify_request(
     return _LETTER_TO_TYPE.get(letter, RequestType.UNKNOWN)
 
 
-def context_aware_description(readings: list[SensorReading], base: str) -> str:
-    """Append one `Current context:` line per sensor reading to the base text.
-
-    No readings, no context block.
-    """
-    if not readings:
-        return base
-    lines = []
-    for r in readings:
-        unit = f" {r.unit}" if r.unit else ""
-        lines.append(f"{r.location}/{r.sensor_id}: {r.value}{unit} (t={format_clock(r.timestamp)})")
+def context_aware_description(lines: list[str], base: str) -> str:
+    """The base text with a `Current context:` block of sensor lines."""
     return base + "\n\nCurrent context:\n" + "\n".join(lines)
 
 

@@ -59,16 +59,17 @@ class Goal:
 
 
 class UnachievableGoalError(ValueError):
-    """No plan can meet the goal: the world lacks its room or its items."""
+    """No plan can meet the goal: the world lacks its room, its items, or
+    enough stock of them."""
 
 
 def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
     """(room, item, qty, facility kind) per required item; fails naming an
-    unknown destination room, or else every unstocked item."""
+    unknown destination room, else every unstocked item, else every item the
+    goal needs more of than its facility stocks."""
     if goal.destination not in world.rooms:
         raise UnachievableGoalError(f"destination room not in the world: {goal.destination}")
-    missing = []
-    out = []
+    missing, short, wanted, out = [], {}, {}, []
     for item, qty in goal.deliveries:
         try:
             facility = item_location(world, item)
@@ -76,8 +77,14 @@ def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, s
             missing.append(item)
             continue
         out.append((facility.location, item, qty, facility.kind))
+        wanted[item] = wanted.get(item, 0) + qty
+        stock = facility.stock[item]
+        if stock is not None and stock < wanted[item]:
+            short[item] = f"{item} ({wanted[item]} wanted, {stock} stocked)"
     if missing:
         raise UnachievableGoalError(f"required items not stocked anywhere: {', '.join(missing)}")
+    if short:
+        raise UnachievableGoalError(f"not enough stock for: {', '.join(short.values())}")
     return out
 
 

@@ -86,16 +86,6 @@ class ZArmState:
     charging: bool = False
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    sensor_id: str
-    kind: str
-    value: str
-    unit: str
-    location: str
-    timestamp: int
-
-
 def default_world(clock_start: str | int = DEFAULT_CLOCK_START) -> WorldModel:
     """The default apartment, its clock starting at `clock_start`."""
     return world_from_config({"clock_start": clock_start})
@@ -116,32 +106,15 @@ def item_location(world: WorldModel, item: str) -> Facility:
     raise WorldError(f"unknown item {item!r}")
 
 
-def read_sensors(world: WorldModel, arm: ZArmState, clock: int) -> list[SensorReading]:
-    """Snapshot of every sensor, sorted by (location, sensor_id).
-
-    Always includes the hub clock (charging-port room) and the z-arm
-    position beacon.
-    """
-    readings = [
-        SensorReading(
-            sensor_id="clock",
-            kind="clock",
-            value=format_clock(clock),
-            unit="",
-            location=world.charging_room,
-            timestamp=clock,
-        ),
-        SensorReading(
-            sensor_id="zarm_position",
-            kind="position",
-            value=arm.location,
-            unit="",
-            location=arm.location,
-            timestamp=clock,
-        ),
-    ]
-    readings.sort(key=lambda r: (r.location, r.sensor_id))
-    return readings
+def read_sensors(world: WorldModel, arm: ZArmState) -> list[str]:
+    """One `room/sensor: value (t=time)` line per sensor, read at the world's
+    `clock_start`: the hub clock in the charging-port room and the z-arm
+    position beacon, sorted by (room, sensor)."""
+    now = format_clock(world.clock_start)
+    readings = sorted(
+        [(world.charging_room, "clock", now), (arm.location, "zarm_position", arm.location)]
+    )
+    return [f"{room}/{sensor}: {value} (t={now})" for room, sensor, value in readings]
 
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",

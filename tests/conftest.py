@@ -1,6 +1,11 @@
 import os
+import sys
 import warnings
 from pathlib import Path
+
+# Set before aptbot is first imported, so a test run leaves no `__pycache__`
+# in `src/`: cached bytecode there makes later cold starts read faster.
+sys.dont_write_bytecode = True
 
 import pytest
 from hypothesis import strategies as st
@@ -27,13 +32,12 @@ def child_env(base=None) -> dict:
     """Environment for a child Python process that imports aptbot from `src`.
 
     Starts from `base` (default: this process's environment) and puts `src`
-    first on PYTHONPATH, so subprocess tests run from a bare checkout. A
-    PYTHONDONTWRITEBYTECODE setting is always carried over, so no child
-    writes `__pycache__` into the checkout when the suite asks for none.
+    first on PYTHONPATH, so subprocess tests run from a bare checkout.
+    PYTHONDONTWRITEBYTECODE is always set, so no child writes `__pycache__`
+    into the checkout.
     """
     env = dict(os.environ if base is None else base)
-    if "PYTHONDONTWRITEBYTECODE" in os.environ:
-        env.setdefault("PYTHONDONTWRITEBYTECODE", os.environ["PYTHONDONTWRITEBYTECODE"])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
     return env
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from aptbot.agent import (
     BACKEND_FAILED,
+    FEEDBACK_PROBLEM_CHARS,
+    FEEDBACK_PROBLEMS,
     FULFILLED,
     PLAN_FAILED,
     REJECTED_UNKNOWN_TYPE,
@@ -14,12 +16,13 @@ from aptbot.agent import (
     handle_request,
     replan_feedback,
 )
+from aptbot.cli import render_transcript
 from aptbot.gateway import ScriptedBackend, ScriptEntry, count_tokens
 from aptbot.plan import PlanParseError, serialize_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
 from aptbot.validator import DurationModel, Violation, validate
-from aptbot.world import ZArmState, default_world
+from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
 REQUEST = (
@@ -189,6 +192,31 @@ def test_goal_for_an_unknown_room_ends_before_planning(world):
     assert outcome.error == "destination room not in the world: attic"
 
 
+def test_goal_wanting_more_than_the_stock_ends_before_planning():
+    world = world_from_config({"clock_start": "9:54pm", "stock": {"medicine_box": {"aspirin": 1}}})
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(response="(A)", contains="categorize it"),
+            ScriptEntry(response=SLOT_LINE, contains="item="),
+            ScriptEntry(response=CANONICAL_PLAN, contains="Current context:"),
+        ]
+    )
+    outcome = handle_request(REQUEST, world, _arm(), backend)
+    assert outcome.status == PLAN_FAILED
+    assert backend.calls == 2
+    assert outcome.attempts == 0
+    assert outcome.error == "not enough stock for: aspirin (2 wanted, 1 stocked)"
+
+
+def test_plan_reply_with_a_lone_surrogate_ends_backend_failed(world):
+    backend = _RecordingBackend(["(A)", SLOT_LINE, "\ud800"])
+    outcome = handle_request(REQUEST, world, _arm(), backend)
+    assert outcome.status == BACKEND_FAILED
+    assert outcome.error == "reply is not UTF-8 text: surrogates not allowed at index 0"
+    assert outcome.attempts == 0
+    assert len(outcome.transcript) == 4
+
+
 def test_goal_extraction_exhaustion_fails_the_request(world):
     backend = ScriptedBackend(
         [
@@ -276,6 +304,33 @@ def test_replan_feedback_is_deterministic_and_complete():
     )
 
 
+@pytest.mark.parametrize(
+    "bad_reply",
+    [
+        "\n".join([CANONICAL_PLAN] * 110),  # hundreds of violations
+        "[9:56pm] Move to the storeroom\n[9:58pm] Pick 2 " + "x" * 40_000,  # one huge one
+    ],
+    ids=["repeated_plan", "huge_item_name"],
+)
+def test_replan_feedback_stays_small_whatever_the_reply(world, bad_reply):
+    backend = _RecordingBackend(["(A)", SLOT_LINE, bad_reply, CANONICAL_PLAN])
+    outcome = handle_request(REQUEST, world, _arm(), backend, config=AgentConfig(max_retries=1))
+    assert outcome.status == FULFILLED, outcome.error
+    assert backend.calls == 4
+    assert outcome.attempts == 2
+    feedback = outcome.transcript[6].content
+    problems = feedback.split("Problems found:\n", 1)[1].split("\n")
+    assert len(problems) <= FEEDBACK_PROBLEMS + 1
+    assert max(len(p) for p in problems) <= FEEDBACK_PROBLEM_CHARS
+
+
+def test_replan_feedback_counts_the_problems_it_leaves_out():
+    failures = [Violation.chronology(i) for i in range(FEEDBACK_PROBLEMS + 3)]
+    problems = replan_feedback(failures).split("Problems found:\n", 1)[1].split("\n")
+    assert problems[:-1] == [f.machine_line() for f in failures[:FEEDBACK_PROBLEMS]]
+    assert problems[-1] == "and 3 more problems"
+
+
 class _RecordingBackend(ScriptedBackend):
     """Answers call k with the k-th reply; records every prompt and input size."""
 
@@ -316,8 +371,8 @@ _BUDGET = AgentConfig().token_budget
 
 @st.composite
 def _reply(draw, golden, goldens):
-    """`golden` itself (weight `goldens`), mutated, arbitrary text (no lone
-    surrogates), `golden` repeated past the token budget, or nothing."""
+    """`golden` itself (weight `goldens`), mutated, arbitrary text (lone
+    surrogates too), `golden` repeated past the token budget, or nothing."""
     kinds = ["golden"] * goldens + ["mutated", "mutated", "text", "long", "empty"]
     kind = draw(st.sampled_from(kinds))
     if kind == "golden":
@@ -328,7 +383,7 @@ def _reply(draw, golden, goldens):
         how = draw(st.sampled_from(["drop", "double", "swap", "shift", "room", "item", "verb"]))
         return _mutated(golden, how, draw(st.integers(0, 9)), draw(st.integers(0, 9)))
     if kind == "text":
-        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=60))
+        return draw(st.text(max_size=60))
     return ""
 
 
@@ -349,6 +404,7 @@ _REPLAN_HEAD = "The previous plan was not acceptable."
 
 @given(_scripts())
 @example((0, ["(A)", SLOT_LINE, CANONICAL_PLAN.rsplit("\n", 1)[0]]))  # docked, not charging
+@example((1, ["(A)", SLOT_LINE, "\ud800"]))  # a lone surrogate
 @settings(max_examples=200, deadline=None)
 def test_agent_loop_survives_hostile_replies(script):
     max_retries, replies = script
@@ -366,6 +422,9 @@ def test_agent_loop_survives_hostile_replies(script):
     ]
     assert outcome.attempts == len(plan_at)
     assert all(size <= config.token_budget for size in backend.input_tokens)
+    render_transcript(outcome.transcript).encode("utf-8")
+    for violation in outcome.violations:
+        violation.machine_line().encode("utf-8")
     if outcome.status == FULFILLED:
         goal = parse_goal_slots(turns[plan_at[0] - 1].content)  # the accepted goal reply
         start = ("living_room", world.clock_start)

@@ -136,6 +136,14 @@ def test_complete_failed_backend_leaves_session_unchanged():
     assert session.turns == []
 
 
+def test_complete_refuses_a_reply_that_is_not_utf8_text():
+    backend = ScriptedBackend([ScriptEntry(response="ok \ud800", step=1)])
+    session = Session()
+    with pytest.raises(BackendError, match="not UTF-8 text: surrogates not allowed at index 3"):
+        complete(backend, session, "anything", PARAMS, BUDGET)
+    assert session.turns == []
+
+
 def test_scripted_backend_matchers():
     backend = ScriptedBackend(
         [

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from aptbot.clock import parse_clock
 from aptbot.oracle import enumerate_feasible, plan_oracle
 from aptbot.plan import Charge, Deliver, Dock, serialize_plan
+from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
-from aptbot.world import default_world
+from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
 START = ("living_room", parse_clock("9:56pm"))
@@ -116,3 +119,66 @@ def test_waypoint_cap_is_enforced(world):
     )
     with pytest.raises(ValueError):
         enumerate_feasible(world, goal, DurationModel(), START, max_waypoints=8)
+
+
+def test_goal_with_more_item_kinds_than_capacity_is_refused(medication_goal):
+    # One trip carries aspirin and water together; a one-kind arm cannot.
+    world = world_from_config({"clock_start": "9:54pm", "capacity": 1})
+    with pytest.raises(ValueError, match="2 item kinds at once, capacity is 1"):
+        plan_oracle(world, medication_goal, DurationModel(), START, start_docked=True)
+    with pytest.raises(ValueError, match="capacity is 1"):
+        enumerate_feasible(world, medication_goal, DurationModel(), START, start_docked=True)
+
+
+@pytest.mark.parametrize(
+    "deliveries, stock, message",
+    [
+        ((("aspirin", 3),), 1, r"aspirin \(3 wanted, 1 stocked\)"),
+        ((("aspirin", 2), ("aspirin", 1)), 2, r"aspirin \(3 wanted, 2 stocked\)"),  # summed
+    ],
+)
+def test_goal_wanting_more_than_the_stock_is_unachievable(deliveries, stock, message):
+    world = world_from_config({"stock": {"medicine_box": {"aspirin": stock}}})
+    goal = Goal(deliveries, "bedroom", parse_clock("10:10pm"))
+    with pytest.raises(UnachievableGoalError, match=message):
+        plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+
+
+def test_oracle_plans_validate_and_execute_in_small_worlds():
+    """With small capacity and stock, the oracle refuses or its plan runs."""
+    rng = random.Random(46)
+    rooms = list(default_world().rooms)
+    items = ["aspirin", "ibuprofen", "water", "glass"]
+    refused = planned = 0
+    for _ in range(300):
+        clock = rng.randint(360, 1200)
+        world = world_from_config(
+            {
+                "clock_start": clock,
+                "capacity": rng.randint(0, 2),
+                "stock": {
+                    "medicine_box": {"aspirin": rng.randint(0, 3), "ibuprofen": rng.randint(0, 3)}
+                },
+            }
+        )
+        picked = rng.choices(items, k=rng.randint(1, 3))
+        goal = Goal(
+            tuple((item, rng.randint(1, 3)) for item in picked),
+            rng.choice(rooms),
+            clock + rng.randint(10, 60),
+            rng.randint(0, 10),
+        )
+        start_room = rng.choice(rooms)
+        docked = start_room == world.charging_room and rng.random() < 0.5
+        start = (start_room, clock)
+        try:
+            plan = plan_oracle(world, goal, DurationModel(), start, start_docked=docked)
+        except ValueError:
+            refused += 1
+            continue
+        planned += 1
+        result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
+        assert result.ok, (serialize_plan(plan), [v.machine_line() for v in result.violations])
+        log = execute(plan, world, ZArmState(location=start_room, docked=docked), DurationModel())
+        assert log.outcome == COMPLETED, (serialize_plan(plan), log.events[-1].line())
+    assert refused > 50 and planned > 50, (refused, planned)

@@ -20,7 +20,7 @@ from aptbot.prompts import (
     parse_goal_slots,
 )
 from aptbot.validator import DurationModel, Goal, validate
-from aptbot.world import SensorReading, ZArmState, read_sensors
+from aptbot.world import ZArmState, read_sensors
 
 
 def test_few_shot_scaffold_bytes():
@@ -137,30 +137,12 @@ def test_classify_request_maps_letters(reply, expected):
 
 def test_context_aware_description_appends_readings(world):
     arm = ZArmState(location="living_room")
-    readings = read_sensors(world, arm, world.clock_start)
-    text = context_aware_description(readings, "BASE")
+    text = context_aware_description(read_sensors(world, arm), "BASE")
     assert text == (
         "BASE\n\nCurrent context:\n"
         "living_room/clock: 9:54pm (t=9:54pm)\n"
         "living_room/zarm_position: living_room (t=9:54pm)"
     )
-
-
-def test_context_aware_description_with_unit():
-    reading = SensorReading(
-        sensor_id="thermo",
-        kind="temperature",
-        value="21",
-        unit="C",
-        location="bedroom",
-        timestamp=parse_clock("9:54pm"),
-    )
-    text = context_aware_description([reading], "B")
-    assert text.endswith("bedroom/thermo: 21 C (t=9:54pm)")
-
-
-def test_context_aware_description_without_readings_is_base():
-    assert context_aware_description([], "BASE") == "BASE"
 
 
 def test_parse_goal_slots_spec_example():

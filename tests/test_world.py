@@ -50,14 +50,24 @@ def test_water_is_unbounded_and_aspirin_counted(world):
 
 def test_read_sensors_includes_clock_and_position(world):
     arm = ZArmState(location="kitchen")
-    readings = read_sensors(world, arm, world.clock_start)
-    by_id = {r.sensor_id: r for r in readings}
-    assert by_id["clock"].value == "9:54pm"
-    assert by_id["clock"].location == "living_room"
-    assert by_id["zarm_position"].value == "kitchen"
-    assert [(r.location, r.sensor_id) for r in readings] == sorted(
-        (r.location, r.sensor_id) for r in readings
-    )
+    assert read_sensors(world, arm) == [
+        "kitchen/zarm_position: kitchen (t=9:54pm)",
+        "living_room/clock: 9:54pm (t=9:54pm)",
+    ]
+
+
+def test_read_sensors_sorts_by_room_then_sensor_not_by_line_text():
+    # As text, "hall-2/..." sorts before "hall/..." ('-' < '/'); as a
+    # (room, sensor) tuple, "hall" comes first.
+    world = world_from_config({
+        "rooms": ["hall", "hall-2"],
+        "facilities": [{"kind": "charging_port", "location": "hall"}],
+        "clock_start": "7:05am",
+    })
+    assert read_sensors(world, ZArmState(location="hall-2")) == [
+        "hall/clock: 7:05am (t=7:05am)",
+        "hall-2/zarm_position: hall-2 (t=7:05am)",
+    ]
 
 
 def test_world_from_config_travel_override_is_symmetric():
