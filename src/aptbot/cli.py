@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agent import FULFILLED, RequestOutcome, handle_request
+from .agent import FULFILLED, AgentConfig, RequestOutcome, handle_request
 from .clock import format_clock
 from .gateway import BackendError, ChatMessage, default_model_from_env, http_backend_from_env
 from .plan import (
@@ -24,7 +24,7 @@ from .plan import (
 from .prompts import GoalSlotError, ScaffoldMarkerError, parse_goal_slots
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simulator import render_event_log
-from .validator import DurationModel, validate
+from .validator import validate
 from .world import WorldError, ZArmState, default_world
 
 # Everything a command raises for bad input: a file, a scenario section, a
@@ -147,15 +147,19 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    goal = parse_goal_slots(args.goal)
-    world = load_scenario(args.world).world if args.world else default_world()
+    if args.world:
+        scenario = load_scenario(args.world)
+        world, config = scenario.world, scenario.config
+    else:
+        world, config = default_world(), AgentConfig()
+    goal = parse_goal_slots(args.goal, tolerance=config.tolerance)
     text = Path(args.planfile).read_text(encoding="utf-8")
     plan = normalize(parse_plan(text), world, world.charging_room)
     result = validate(
         plan,
         world,
         goal,
-        DurationModel(),
+        config.durations,
         start=(world.charging_room, world.clock_start),
         start_docked=True,
     )
@@ -193,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a plan file against a goal")
     p_val.add_argument("planfile", help="text file of timed action lines")
     p_val.add_argument(
-        "--world", help="scenario file whose world section to validate against"
+        "--world",
+        help="scenario file whose world, durations and tolerance to validate against",
     )
     p_val.add_argument(
         "--goal",

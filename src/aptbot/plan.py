@@ -113,7 +113,6 @@ _VERB_RE = re.compile(
     r"|(?P<pick>(?:pick\s+up|pick|take|grab|fetch)\s+(?P<rest>.+))$"
     r")"
 )
-_AND_RE = re.compile(r"\s+and\s+")
 
 
 def _parse_qty_item(text: str) -> tuple[str, int]:
@@ -155,7 +154,7 @@ def _parse_phrase(phrase: str) -> Action:
         items = tuple(
             _parse_qty_item(part)
             for chunk in m.group("items").split(",")
-            for part in _AND_RE.split(chunk)
+            for part in chunk.split(" and ")  # `lowered` has single spaces
             if part.strip()
         )
         if not items:
@@ -178,7 +177,7 @@ def parse_plan(text: str) -> ActionPlan:
         m = _LINE_RE.match(line)
         if m is None:
             continue
-        time_text, phrase = m.group(1), m.group(2)
+        time_text, phrase = m.groups()
         try:
             start = parse_clock(time_text)
         except ClockParseError:
@@ -200,19 +199,20 @@ def items_text(items: tuple[tuple[str, int], ...]) -> str:
 
 def action_phrase(action: Action) -> str:
     """Canonical verb phrase, the serializer's single wording per verb."""
-    if isinstance(action, Move):
+    kind = type(action)
+    if kind is Move:
         return f"Move to the {room_text(action.dest)}"
-    if isinstance(action, Pick):
+    if kind is Pick:
         return f"Pick {action.qty} {action.item}"
-    if isinstance(action, Fill):
+    if kind is Fill:
         return f"Fill {action.container} with {action.source}"
-    if isinstance(action, Deliver):
+    if kind is Deliver:
         return f"Deliver {items_text(action.items)} to the {room_text(action.dest)}"
-    if isinstance(action, Dock):
+    if kind is Dock:
         return "Dock at the charging port"
-    if isinstance(action, Charge):
+    if kind is Charge:
         return "Start charging"
-    if isinstance(action, Wait):
+    if kind is Wait:
         unit = "minute" if action.minutes == 1 else "minutes"
         return f"Wait {action.minutes} {unit}"
     raise TypeError(f"not an action: {action!r}")
@@ -226,15 +226,16 @@ def serialize_plan(plan: ActionPlan) -> str:
 
 def required_room(action: Action, world: WorldModel) -> str | None:
     """Room the action must happen in; None when any room works."""
-    if isinstance(action, Pick):
+    kind = type(action)
+    if kind is Pick:
         return item_location(world, action.item).location
-    if isinstance(action, Fill):
+    if kind is Fill:
         return item_location(world, action.source).location
-    if isinstance(action, Deliver):
+    if kind is Deliver:
         if action.dest not in world.rooms:
             raise WorldError(f"unknown room {action.dest!r}")
         return action.dest
-    if isinstance(action, (Dock, Charge)):
+    if kind is Dock or kind is Charge:
         return world.charging_room
     return None
 

@@ -33,7 +33,7 @@ COMPLETED = "completed"
 FAULT = "fault"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     time: int
     kind: str
@@ -100,21 +100,20 @@ def execute(
             problems = check(run, world, i, action)
             if problems:
                 return fault(t, problems[0][1])
+            if kind is Pick:
+                events.append(Event(t, "pick", f"{action.qty} {action.item}"))
+            elif kind is Fill:
+                events.append(Event(t, "fill", f"{action.container} with {action.source}"))
+            elif kind is Deliver:
+                events.append(Event(t, "deliver", f"{items_text(action.items)} to {action.dest}"))
+            elif kind is Dock:
+                events.append(Event(t, "dock", "at the charging port"))
+            elif kind is Charge:
+                events.append(Event(t, "charge_start", ""))
+            else:  # Wait
+                unit = "minute" if action.minutes == 1 else "minutes"
+                events.append(Event(t, "wait", f"{action.minutes} {unit}"))
         clock = t + apply(run, world, action, durations)
-        if kind is Pick:
-            events.append(Event(t, "pick", f"{action.qty} {action.item}"))
-        elif kind is Fill:
-            events.append(Event(t, "fill", f"{action.container} with {action.source}"))
-        elif kind is Deliver:
-            events.append(Event(t, "deliver", f"{items_text(action.items)} to {action.dest}"))
-        elif kind is Dock:
-            events.append(Event(t, "dock", "at the charging port"))
-        elif kind is Charge:
-            events.append(Event(t, "charge_start", ""))
-        elif kind is Wait:
-            unit = "minute" if action.minutes == 1 else "minutes"
-            events.append(Event(t, "wait", f"{action.minutes} {unit}"))
-
         if clock >= MINUTES_PER_DAY:
             return fault(MINUTES_PER_DAY - 1, "plan runs past midnight")
 

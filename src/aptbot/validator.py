@@ -3,8 +3,10 @@
 A timestamp is the action's start; completion = start + duration. The
 world rules (stock, payload, capacity, delivery, charging) live here once,
 in `check` and `apply`, which the simulator uses too. The validator walks
-the whole plan and reports every violation it finds, never just the first,
-as stable `VIOLATION <kind> <fields>` lines the agent can feed back.
+the whole plan once and reports every violation it finds, never just the
+first, as stable `VIOLATION <kind> <fields>` lines the agent can feed back.
+The deadline is checked inside that walk: it notes when the goal delivery
+completes.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class Violation:
         return cls("TimeWraparound")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScheduledAction:
     timed: TimedAction
     completion: int
@@ -182,8 +184,7 @@ def start_run(
     """The arm at `location` carrying `payload`, and a copy of the world's stock.
 
     A docked arm starts out charging."""
-    stock = {(f.location, i): q for f in world.facilities for i, q in f.stock.items()}
-    return RunState(location, docked, docked, dict(payload), stock, {})
+    return RunState(location, docked, docked, dict(payload), dict(world.initial_stock), {})
 
 
 def check(
@@ -249,24 +250,6 @@ def apply(run: RunState, world: WorldModel, action: Action, durations: DurationM
     return action.minutes  # Wait
 
 
-def check_deadline(schedule: list[ScheduledAction], goal: Goal) -> Violation | None:
-    """Delivery completion must land inside the goal's time window."""
-    if not goal.deliveries:
-        return None
-    goal_items = {item for item, _ in goal.deliveries}
-    actual = None
-    for s in schedule:
-        a = s.timed.action
-        if isinstance(a, Deliver) and a.dest == goal.destination:
-            if any(item in goal_items for item, _ in a.items):
-                actual = s.completion
-    if actual is None:
-        return None
-    if abs(actual - goal.target_time) > goal.tolerance:
-        return Violation.deadline_missed(actual, goal.target_time, goal.tolerance)
-    return None
-
-
 def validate(
     plan: ActionPlan,
     world: WorldModel,
@@ -289,48 +272,47 @@ def validate(
     schedule: list[ScheduledAction] = []
     run = start_run(world, start_room, start_docked)
     wrapped = False
+    goal_items = {item for item, _ in goal.deliveries}
+    delivered_at = None  # completion of the last delivery of a goal item there
 
-    prev_start = None
-    prev_completion = clock
+    prev_start = prev_completion = clock
     prev_travel = None  # travel minutes when previous action was a Move
 
     for i, ta in enumerate(plan.actions):
-        if i == 0:
-            if ta.start < clock:
-                violations.append(Violation.chronology(0))
-        else:
-            if ta.start < prev_start:
+        t, action = ta.start, ta.action
+        kind = type(action)
+        if t < prev_start:
+            violations.append(Violation.chronology(i))
+        elif t < prev_completion:
+            if prev_travel is not None:
+                violations.append(Violation.travel_infeasible(i - 1, prev_travel, t - prev_start))
+            else:
                 violations.append(Violation.chronology(i))
-            elif ta.start < prev_completion:
-                if prev_travel is not None:
-                    violations.append(
-                        Violation.travel_infeasible(
-                            i - 1, prev_travel, ta.start - prev_start
-                        )
-                    )
-                else:
-                    violations.append(Violation.chronology(i))
 
-        action = ta.action
-        is_move = type(action) is Move
-        if not is_move:
+        if kind is not Move:
             room = required_room(action, world)
             if room is not None and room != run.location:
                 needed = travel_time(world, run.location, room)
-                available = max(0, ta.start - prev_completion)
+                available = max(0, t - prev_completion)
                 violations.append(Violation.travel_infeasible(i, needed, available))
                 run.location = room  # keep scanning from where the action assumes
             for violation, _ in check(run, world, i, action):
                 violations.append(violation)
         duration = apply(run, world, action, durations)
-        prev_travel = duration if is_move else None
+        prev_travel = duration if kind is Move else None
 
-        completion = ta.start + duration
+        completion = t + duration
         if completion >= MINUTES_PER_DAY and not wrapped:
             violations.append(Violation.time_wraparound())
             wrapped = True
+        if (
+            kind is Deliver
+            and action.dest == goal.destination
+            and any(item in goal_items for item, _ in action.items)
+        ):
+            delivered_at = completion
         schedule.append(ScheduledAction(ta, completion))
-        prev_start = ta.start
+        prev_start = t
         prev_completion = max(prev_completion, completion)
 
     missing = []
@@ -341,9 +323,10 @@ def validate(
     if missing:
         violations.append(Violation.goal_unmet(missing))
 
-    deadline = check_deadline(schedule, goal)
-    if deadline is not None:
-        violations.append(deadline)
+    if delivered_at is not None and abs(delivered_at - goal.target_time) > goal.tolerance:
+        violations.append(
+            Violation.deadline_missed(delivered_at, goal.target_time, goal.tolerance)
+        )
 
     if goal.require_terminal_dock and not run.docked:
         violations.append(Violation.not_docked_at_end())

@@ -2,7 +2,10 @@
 
 Single source of truth shared by the validator, the simulator, and the
 oracle planner. Worlds are immutable and stock each item in one facility
-only; a run copies the stock into its own `validator.RunState`.
+only; a run copies the stock into its own `validator.RunState`. A world
+derives its lookup tables (item -> facility, the charging room, the initial
+(room, item) -> stock map) once, at construction, so its dicts, and those
+of its facilities, must not be mutated afterwards.
 """
 
 from __future__ import annotations
@@ -45,36 +48,52 @@ DEFAULT_FACILITIES = (
 @dataclass(frozen=True)
 class WorldModel:
     rooms: tuple[str, ...]
-    # (from_room, to_room) -> minutes; complete over room pairs
+    # (from_room, to_room) -> minutes; exactly the room pairs
     travel: dict[tuple[str, str], int]
     facilities: tuple[Facility, ...]
     clock_start: int
     capacity: int = DEFAULT_CAPACITY
+    # Derived from the fields above in __post_init__.
+    facility_of: dict[str, Facility] = field(init=False, repr=False, compare=False)
+    charging_room: str = field(init=False, repr=False, compare=False)
+    # (room, item) -> quantity at the start of every run; None means unbounded
+    initial_stock: dict[tuple[str, str], int | None] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        for room in self.rooms:
-            if self.travel.get((room, room), 0) != 0:
-                raise WorldError(f"travel diagonal must be 0 for {room}")
+        pairs = {(a, b) for a in self.rooms for b in self.rooms}
+        missing = pairs - self.travel.keys()
+        if missing:
+            raise WorldError(f"travel has no entry for {min(missing)!r}")
+        for pair, minutes in self.travel.items():
+            if pair not in pairs:
+                raise WorldError(f"travel entry {pair!r} names a room outside rooms")
+            if type(minutes) is not int or minutes < 0:
+                raise WorldError(f"travel minutes must be an int >= 0 for {pair!r}")
+            if pair[0] == pair[1] and minutes != 0:
+                raise WorldError(f"travel diagonal must be 0 for {pair[0]}")
         if not 0 <= self.clock_start < MINUTES_PER_DAY:
             raise WorldError(f"clock_start must be a time of day, got {self.clock_start!r}")
         if self.capacity < 0:
             raise WorldError(f"capacity must be a non-negative integer, got {self.capacity!r}")
-        stocked: set[str] = set()
+        facility_of: dict[str, Facility] = {}
         for f in self.facilities:
             if f.location not in self.rooms:
                 raise WorldError(f"facility {f.kind} placed in unknown room {f.location}")
             for item, qty in f.stock.items():
                 if qty is not None and (type(qty) is not int or qty < 0):
                     raise WorldError(f"stock of {item} in {f.kind} must be null or an int >= 0")
-                if item in stocked:
+                if item in facility_of:
                     raise WorldError(f"item {item!r} stocked in more than one facility")
-                stocked.add(item)
-        if not any(f.kind == "charging_port" for f in self.facilities):
+                facility_of[item] = f
+        ports = [f.location for f in self.facilities if f.kind == "charging_port"]
+        if not ports:
             raise WorldError("world has no charging_port facility")
-
-    @property
-    def charging_room(self) -> str:
-        return next(f.location for f in self.facilities if f.kind == "charging_port")
+        initial_stock = {(f.location, item): f.stock[item] for item, f in facility_of.items()}
+        object.__setattr__(self, "facility_of", facility_of)
+        object.__setattr__(self, "charging_room", ports[0])
+        object.__setattr__(self, "initial_stock", initial_stock)
 
 
 @dataclass
@@ -92,18 +111,19 @@ def default_world(clock_start: str | int = DEFAULT_CLOCK_START) -> WorldModel:
 
 
 def travel_time(world: WorldModel, from_room: str, to_room: str) -> int:
-    for room in (from_room, to_room):
-        if room not in world.rooms:
-            raise WorldError(f"unknown room {room!r}")
-    return world.travel[(from_room, to_room)]
+    minutes = world.travel.get((from_room, to_room))
+    if minutes is None:  # travel holds every room pair, so a room is unknown
+        unknown = from_room if from_room not in world.rooms else to_room
+        raise WorldError(f"unknown room {unknown!r}")
+    return minutes
 
 
 def item_location(world: WorldModel, item: str) -> Facility:
     """The one facility stocking the item; its room is `.location`."""
-    for f in world.facilities:
-        if item in f.stock:
-            return f
-    raise WorldError(f"unknown item {item!r}")
+    facility = world.facility_of.get(item)
+    if facility is None:
+        raise WorldError(f"unknown item {item!r}")
+    return facility
 
 
 def read_sensors(world: WorldModel, arm: ZArmState) -> list[str]:

@@ -2,9 +2,33 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+from conftest import SCENARIO_PATH, child_env
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# Run in a child process, so that the installed wrappers stay out of the
+# other tests: trace the medication request and print the aggregate.
+TRACED_REQUEST = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+from aptbot import agent, cli, scenario
+loaded = scenario.load_scenario(sys.argv[2])
+tracer.begin_request()
+outcome = agent.handle_request(
+    loaded.requests[0], loaded.world, cli.fresh_arm(loaded.world), loaded.make_backend(),
+    config=loaded.config, templates=loaded.templates,
+)
+print(json.dumps({"status": outcome.status, **tracer.aggregate()}))
+"""
 
 
 def _load_spans():
@@ -32,3 +56,22 @@ def test_every_traced_target_is_a_callable_on_aptbot():
         if not callable(obj):
             missing.append(f"{name} -> {module}.{path}")
     assert missing == []
+
+
+def test_per_layer_counters_and_spans_see_a_traced_request():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_REQUEST, str(SPANS_PATH), str(SCENARIO_PATH)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    assert traced["status"] == "fulfilled"
+    sums, spans = traced["sums"], traced["spans"]
+    for counter in ("world.travel_time", "world.item_location",
+                    "clock.parse_clock", "clock.format_clock"):
+        assert sums[counter] > 0, counter
+    for span in ("plan.parse_plan", "plan.normalize", "validator.validate", "simulator.execute"):
+        assert spans[span][0] > 0, span

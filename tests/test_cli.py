@@ -268,6 +268,33 @@ def test_validate_with_world_override(tmp_path):
     assert "ItemUnavailable" in proc.stdout
 
 
+def test_validate_with_world_uses_the_scenarios_durations_and_tolerance(tmp_path):
+    # With a 1-minute dock, charging may start at 10:06pm; `run` fulfils
+    # this plan, so `validate --world` on the same scenario must accept it.
+    raw = json.loads(SCENARIO_PATH.read_text(encoding="utf-8"))
+    raw["config"] = {"durations": {"dock": 1}}
+    reply = raw["script"][2]["response"]
+    raw["script"][2]["response"] = reply.replace(
+        "[10:07pm] Start charging", "[10:06pm] Start charging"
+    )
+    scenario = tmp_path / "quick_dock.scenario"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("run", "--scenario", str(scenario), "--out", str(out))
+    assert proc.stdout == "request 1: fulfilled\n", proc.stderr
+    plan = out / "request_001" / "plan.txt"
+    proc = run_cli("validate", str(plan), "--world", str(scenario), "--goal", GOAL)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[-1] == "10:06pm -> 10:06pm  Start charging"
+    # The delivery ends at 10:05pm: inside the default 5-minute window, but
+    # outside a scenario's 4-minute one.
+    raw["config"] = {"tolerance": 4}
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_cli("validate", str(GOLDEN_DIR / "plan.txt"), "--world", str(scenario), "--goal", GOAL)
+    assert proc.returncode == 1
+    assert proc.stdout == "VIOLATION DeadlineMissed actual=10:05pm target=10:00pm tolerance=4\n"
+
+
 def test_repl_scripted_session(tmp_path):
     stdin_text = (
         "please bring me two pills of aspirin with a glass of water "

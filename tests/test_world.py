@@ -1,11 +1,17 @@
+import copy
 from dataclasses import replace
 
 import pytest
 
 from aptbot.clock import parse_clock
+from aptbot.oracle import plan_oracle
+from aptbot.plan import NormalizeError, normalize, parse_plan
+from aptbot.simulator import COMPLETED, execute
+from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import (
     Facility,
     WorldError,
+    WorldModel,
     ZArmState,
     default_world,
     item_location,
@@ -13,6 +19,7 @@ from aptbot.world import (
     travel_time,
     world_from_config,
 )
+from conftest import CANONICAL_PLAN
 
 
 def test_default_world_shape(world):
@@ -101,3 +108,112 @@ def test_world_requires_charging_port_for_charging_room():
         world_from_config(config)
     with pytest.raises(WorldError):
         replace(default_world(), facilities=(Facility("water_cooler", "kitchen", {"water": None}),))
+
+
+def _two_rooms(travel):
+    return WorldModel(
+        rooms=("a", "b"),
+        travel=travel,
+        facilities=(Facility("charging_port", "a"),),
+        clock_start=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "travel",
+    [
+        {("a", "a"): 0, ("b", "b"): 0},  # no a-b pair
+        {("a", "a"): 0, ("a", "b"): 2, ("b", "a"): 2},  # no b-b diagonal
+        {("a", "a"): 0, ("a", "b"): 2, ("b", "a"): 2, ("b", "b"): 0, ("a", "c"): 2},
+        {("a", "a"): 0, ("a", "b"): -1, ("b", "a"): 2, ("b", "b"): 0},
+        {("a", "a"): 0, ("a", "b"): 2.0, ("b", "a"): 2, ("b", "b"): 0},
+        {("a", "a"): 0, ("a", "b"): True, ("b", "a"): 2, ("b", "b"): 0},
+        {("a", "a"): 1, ("a", "b"): 2, ("b", "a"): 2, ("b", "b"): 0},
+    ],
+)
+def test_world_refuses_travel_that_is_not_exactly_its_room_pairs(travel):
+    with pytest.raises(WorldError):
+        _two_rooms(travel)
+
+
+def test_world_accepts_complete_asymmetric_travel():
+    world = _two_rooms({("a", "a"): 0, ("a", "b"): 3, ("b", "a"): 5, ("b", "b"): 0})
+    assert travel_time(world, "a", "b") == 3
+    assert travel_time(world, "b", "a") == 5
+
+
+def test_unknown_lookups_keep_their_error_type_and_message(world):
+    cases = [
+        (lambda: travel_time(world, "x", "kitchen"), WorldError, "unknown room 'x'"),
+        (lambda: travel_time(world, "kitchen", "x"), WorldError, "unknown room 'x'"),
+        (lambda: travel_time(world, "x", "y"), WorldError, "unknown room 'x'"),
+        (lambda: item_location(world, "x"), WorldError, "unknown item 'x'"),
+    ]
+    goal = Goal((), "living_room", 0, require_terminal_dock=False)
+    start = ("living_room", world.clock_start)
+    for phrase, message in [
+        ("Pick 1 x", "unknown item 'x'"),
+        ("Fill glass with x", "unknown item 'x'"),
+        ("Move to the x", "unknown room 'x'"),
+        ("Deliver 1 aspirin to the x", "unknown room 'x'"),
+    ]:
+        plan = parse_plan(f"[10:00pm] {phrase}")
+        cases.append((lambda p=plan: normalize(p, world, "living_room"), NormalizeError, message))
+        cases.append(
+            (lambda p=plan: validate(p, world, goal, DurationModel(), start), WorldError, message)
+        )
+    dock = parse_plan("[10:00pm] Dock")
+    cases.append((lambda: normalize(dock, world, "x"), NormalizeError, "unknown room 'x'"))
+    cases.append(
+        (lambda: validate(dock, world, goal, DurationModel(), ("x", 0)), WorldError, "unknown room 'x'")
+    )
+    for call, kind, message in cases:
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+
+def test_world_value_semantics_ignore_derived_tables():
+    config = {"travel": {"kitchen,storeroom": 4}, "stock": {"medicine_box": {"aspirin": 3}}}
+    world = world_from_config(config)
+    assert world == world_from_config(config)
+    assert world != world_from_config({})
+    assert repr(world) == (
+        f"WorldModel(rooms={world.rooms!r}, travel={world.travel!r}, "
+        f"facilities={world.facilities!r}, clock_start={world.clock_start!r}, "
+        f"capacity={world.capacity!r})"
+    )
+
+
+def test_runs_never_mutate_their_world(medication_goal):
+    world = world_from_config({"stock": {"medicine_box": {"aspirin": 2}}})
+    stocks = copy.deepcopy([f.stock for f in world.facilities])
+    arm = ZArmState(location="living_room", docked=True, charging=True)
+    plan = normalize(parse_plan(CANONICAL_PLAN), world, "living_room")
+    durations = DurationModel()
+    start = ("living_room", world.clock_start)
+    runs = [
+        lambda: validate(plan, world, medication_goal, durations, start, start_docked=True),
+        lambda: execute(plan, world, arm, durations),
+        lambda: plan_oracle(world, medication_goal, durations, start, start_docked=True),
+    ]
+    for run in runs:
+        assert run() == run()
+    assert validate(plan, world, medication_goal, durations, start, start_docked=True).ok
+    assert [f.stock for f in world.facilities] == stocks
+
+
+def test_a_second_execute_still_finds_the_last_unit_in_stock():
+    world = world_from_config({"stock": {"medicine_box": {"aspirin": 1}}})
+    plan = normalize(
+        parse_plan("[9:58pm] Pick 1 aspirin\n[10:01pm] Dock\n[10:03pm] Start charging"),
+        world,
+        "living_room",
+    )
+    arm = ZArmState(location="living_room", docked=True, charging=True)
+    for _ in range(2):
+        log = execute(plan, world, arm, DurationModel())
+        assert log.outcome == COMPLETED
+        assert log.final_state.payload == [("aspirin", 1)]
+    assert item_location(world, "aspirin").stock["aspirin"] == 1
