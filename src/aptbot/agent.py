@@ -28,7 +28,7 @@ from .prompts import (
 )
 from .simulator import FAULT, EventLog, execute
 from .validator import (
-    DurationModel, Goal, ScheduledAction, UnachievableGoalError, Violation, goal_waypoints, validate,
+    DurationModel, Goal, UnachievableGoalError, Violation, goal_waypoints, validate,
 )
 from .world import WorldModel, ZArmState, read_sensors
 
@@ -65,7 +65,6 @@ class AgentConfig:
 class RequestOutcome:
     status: str
     plan: ActionPlan | None = None
-    schedule: list[ScheduledAction] | None = None
     event_log: EventLog | None = None
     transcript: list[ChatMessage] = field(default_factory=list)
     attempts: int = 0
@@ -114,8 +113,8 @@ def _goal_attempt(reply: str, tolerance: int) -> Goal | list[GoalSlotError]:
 
 def _plan_attempt(
     reply: str, world: WorldModel, arm: ZArmState, goal: Goal, config: AgentConfig
-) -> tuple[ActionPlan, list[ScheduledAction], EventLog] | list:
-    """Judge one plan reply: (plan, schedule, log) if it executes, else its failures."""
+) -> tuple[ActionPlan, EventLog] | list:
+    """Judge one plan reply: (plan, log) if it executes, else its failures."""
     try:
         canonical = normalize(parse_plan(reply), world, arm.location)
     except (PlanParseError, NormalizeError) as exc:
@@ -128,7 +127,7 @@ def _plan_attempt(
     log = execute(canonical, world, arm, config.durations)
     if log.outcome == FAULT:
         return [f"EXECUTION_FAULT {log.events[-1].detail}"]
-    return canonical, result.schedule, log
+    return canonical, log
 
 
 def _exchange(
@@ -205,5 +204,5 @@ def handle_request(
     if isinstance(verdict, list):
         violations = tuple(f for f in verdict if isinstance(f, Violation))
         return outcome(PLAN_FAILED, error="plan attempts exhausted", violations=violations)
-    plan, schedule, log = verdict
-    return outcome(FULFILLED, plan=plan, schedule=schedule, event_log=log)
+    plan, log = verdict
+    return outcome(FULFILLED, plan=plan, event_log=log)

@@ -102,8 +102,8 @@ def _print_outcome(outcome: RequestOutcome) -> None:
     if outcome.plan is not None:
         print(serialize_plan(outcome.plan))
     if outcome.event_log is not None:
-        for line in outcome.event_log.lines():
-            print(line)
+        for event in outcome.event_log.events:
+            print(event.line())
     for violation in outcome.violations:
         print(violation.machine_line())
     if outcome.error:

@@ -86,22 +86,17 @@ def _candidates(
     goal: Goal,
     durations: DurationModel,
     start: tuple[str, int],
-    max_waypoints: int,
     start_docked: bool,
 ) -> list[tuple[tuple[str, ...], tuple[str, ...], ActionPlan, int | None, int]]:
     """All feasible orderings as (rooms, items, plan, delivery, completion)."""
     waypoints = sorted(goal_waypoints(world, goal))
-    if len(waypoints) > max_waypoints:
-        raise ValueError(f"too many waypoints: {len(waypoints)} > {max_waypoints}")
+    if len(waypoints) > MAX_WAYPOINTS:
+        raise ValueError(f"too many waypoints: {len(waypoints)} > {MAX_WAYPOINTS}")
     kinds = len({item for _, item, _, _ in waypoints})
     if kinds > world.capacity:  # one trip carries every item to the destination
         raise ValueError(f"goal needs {kinds} item kinds at once, capacity is {world.capacity}")
-    seen: set[tuple[tuple[str, str, int, str], ...]] = set()
     out = []
-    for order in permutations(waypoints):
-        if order in seen:
-            continue
-        seen.add(order)
+    for order in dict.fromkeys(permutations(waypoints)):  # each distinct order once
         built = _build(world, goal, durations, start, order, start_docked)
         if built is None:
             continue
@@ -118,17 +113,11 @@ def enumerate_feasible(
     goal: Goal,
     durations: DurationModel,
     start: tuple[str, int],
-    max_waypoints: int = MAX_WAYPOINTS,
     *,
     start_docked: bool = False,
 ) -> list[ActionPlan]:
     """Every waypoint ordering that admits a valid schedule, canonical form."""
-    return [
-        plan
-        for _, _, plan, _, _ in _candidates(
-            world, goal, durations, start, max_waypoints, start_docked
-        )
-    ]
+    return [plan for _, _, plan, _, _ in _candidates(world, goal, durations, start, start_docked)]
 
 
 def plan_oracle(
@@ -141,7 +130,7 @@ def plan_oracle(
 ) -> ActionPlan:
     """Best feasible plan: delivery closest to the target, ties broken by
     earlier completion, then lexicographic room order."""
-    candidates = _candidates(world, goal, durations, start, MAX_WAYPOINTS, start_docked)
+    candidates = _candidates(world, goal, durations, start, start_docked)
     if not candidates:
         raise ValueError("no waypoint ordering fits the deadline window")
 

@@ -51,12 +51,9 @@ class EventLog:
     # room -> item -> quantity dropped off there
     delivered: dict[str, dict[str, int]]
 
-    def lines(self) -> list[str]:
-        return [e.line() for e in self.events]
-
 
 def render_event_log(log: EventLog) -> str:
-    return "\n".join(log.lines())
+    return "\n".join(e.line() for e in log.events)
 
 
 def execute(
@@ -85,9 +82,11 @@ def execute(
 
         kind = type(action)
         if kind is Move:
-            if action.dest not in world.rooms:
-                return fault(t, f"unknown room {action.dest}")
-            arrive = t + world.travel[(run.location, action.dest)]  # both rooms known
+            minutes = world.travel.get((run.location, action.dest))
+            if minutes is None:  # travel holds every room pair, so a room is unknown
+                unknown = run.location if run.location not in world.rooms else action.dest
+                return fault(t, f"unknown room {unknown}")
+            arrive = t + minutes
             if arrive >= MINUTES_PER_DAY:
                 return fault(t, "plan runs past midnight")
             events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))

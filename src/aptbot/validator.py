@@ -99,53 +99,10 @@ class Violation:
         parts = [f"{k}={v}" for k, v in self.fields]
         return " ".join(["VIOLATION", self.kind, *parts])
 
-    @classmethod
-    def chronology(cls, index: int) -> Violation:
-        return cls("Chronology", (("index", index),))
 
-    @classmethod
-    def travel_infeasible(cls, index: int, needed: int, available: int) -> Violation:
-        return cls(
-            "TravelInfeasible",
-            (("index", index), ("needed", needed), ("available", available)),
-        )
-
-    @classmethod
-    def item_unavailable(cls, item: str, room: str) -> Violation:
-        return cls("ItemUnavailable", (("item", item), ("room", room)))
-
-    @classmethod
-    def capacity_exceeded(cls, index: int) -> Violation:
-        return cls("CapacityExceeded", (("index", index),))
-
-    @classmethod
-    def goal_unmet(cls, missing: list[tuple[str, int]]) -> Violation:
-        text = ",".join(f"{item}:{qty}" for item, qty in missing)
-        return cls("GoalUnmet", (("missing", text),))
-
-    @classmethod
-    def deadline_missed(cls, actual: int, target: int, tolerance: int) -> Violation:
-        return cls(
-            "DeadlineMissed",
-            (
-                # A delivery that ends past midnight reads as the next day's time.
-                ("actual", format_clock(actual % MINUTES_PER_DAY)),
-                ("target", format_clock(target)),
-                ("tolerance", tolerance),
-            ),
-        )
-
-    @classmethod
-    def not_docked_at_end(cls) -> Violation:
-        return cls("NotDockedAtEnd")
-
-    @classmethod
-    def not_charging_at_end(cls) -> Violation:
-        return cls("NotChargingAtEnd")
-
-    @classmethod
-    def time_wraparound(cls) -> Violation:
-        return cls("TimeWraparound")
+def violation(kind: str, **fields: object) -> Violation:
+    """A `kind` violation whose fields print in the order they are given."""
+    return Violation(kind, tuple(fields.items()))
 
 
 @dataclass(slots=True)
@@ -198,21 +155,30 @@ def check(
         item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
         left = run.stock.get((room, item), -1)  # -1: not stocked in this room
         if left == -1:
-            problems.append(
-                (Violation.item_unavailable(item, room), f"{item} not available in {room}")
-            )
+            problems.append((
+                violation("ItemUnavailable", item=item, room=room),
+                f"{item} not available in {room}",
+            ))
         elif left is not None and left < qty:
-            problems.append((Violation.item_unavailable(item, room), f"stock exhausted: {item}"))
+            problems.append(
+                (violation("ItemUnavailable", item=item, room=room), f"stock exhausted: {item}")
+            )
         if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
-            problems.append((Violation.capacity_exceeded(index), "payload capacity exceeded"))
+            problems.append(
+                (violation("CapacityExceeded", index=index), "payload capacity exceeded")
+            )
     elif kind is Deliver:
         wanted: dict[str, int] = {}
         for item, qty in action.items:
             wanted[item] = wanted.get(item, 0) + qty
             if run.payload.get(item, 0) < wanted[item]:
-                problems.append((Violation.item_unavailable(item, room), f"{item} not in payload"))
+                problems.append(
+                    (violation("ItemUnavailable", item=item, room=room), f"{item} not in payload")
+                )
     elif kind is Charge and not run.docked:
-        problems.append((Violation.item_unavailable("charging_port", room), "not docked"))
+        problems.append(
+            (violation("ItemUnavailable", item="charging_port", room=room), "not docked")
+        )
     return problems
 
 
@@ -282,28 +248,31 @@ def validate(
         t, action = ta.start, ta.action
         kind = type(action)
         if t < prev_start:
-            violations.append(Violation.chronology(i))
+            violations.append(violation("Chronology", index=i))
         elif t < prev_completion:
             if prev_travel is not None:
-                violations.append(Violation.travel_infeasible(i - 1, prev_travel, t - prev_start))
+                violations.append(violation(
+                    "TravelInfeasible", index=i - 1, needed=prev_travel, available=t - prev_start
+                ))
             else:
-                violations.append(Violation.chronology(i))
+                violations.append(violation("Chronology", index=i))
 
         if kind is not Move:
             room = required_room(action, world)
             if room is not None and room != run.location:
                 needed = travel_time(world, run.location, room)
                 available = max(0, t - prev_completion)
-                violations.append(Violation.travel_infeasible(i, needed, available))
+                violations.append(
+                    violation("TravelInfeasible", index=i, needed=needed, available=available)
+                )
                 run.location = room  # keep scanning from where the action assumes
-            for violation, _ in check(run, world, i, action):
-                violations.append(violation)
+            violations.extend(v for v, _ in check(run, world, i, action))
         duration = apply(run, world, action, durations)
         prev_travel = duration if kind is Move else None
 
         completion = t + duration
         if completion >= MINUTES_PER_DAY and not wrapped:
-            violations.append(Violation.time_wraparound())
+            violations.append(violation("TimeWraparound"))
             wrapped = True
         if (
             kind is Deliver
@@ -321,16 +290,21 @@ def validate(
         if got < qty:
             missing.append((item, qty - got))
     if missing:
-        violations.append(Violation.goal_unmet(missing))
+        text = ",".join(f"{item}:{qty}" for item, qty in missing)
+        violations.append(violation("GoalUnmet", missing=text))
 
     if delivered_at is not None and abs(delivered_at - goal.target_time) > goal.tolerance:
-        violations.append(
-            Violation.deadline_missed(delivered_at, goal.target_time, goal.tolerance)
-        )
+        violations.append(violation(
+            "DeadlineMissed",
+            # A delivery that ends past midnight reads as the next day's time.
+            actual=format_clock(delivered_at % MINUTES_PER_DAY),
+            target=format_clock(goal.target_time),
+            tolerance=goal.tolerance,
+        ))
 
     if goal.require_terminal_dock and not run.docked:
-        violations.append(Violation.not_docked_at_end())
+        violations.append(violation("NotDockedAtEnd"))
     elif goal.require_terminal_dock and not run.charging:
-        violations.append(Violation.not_charging_at_end())
+        violations.append(violation("NotChargingAtEnd"))
 
     return ValidationResult(None if violations else schedule, violations, run.delivered)

@@ -62,6 +62,9 @@ class WorldModel:
     )
 
     def __post_init__(self) -> None:
+        repeated = sorted({room for room in self.rooms if self.rooms.count(room) > 1})
+        if repeated:
+            raise WorldError(f"rooms listed more than once: {', '.join(repeated)}")
         pairs = {(a, b) for a in self.rooms for b in self.rooms}
         missing = pairs - self.travel.keys()
         if missing:
@@ -88,8 +91,8 @@ class WorldModel:
                     raise WorldError(f"item {item!r} stocked in more than one facility")
                 facility_of[item] = f
         ports = [f.location for f in self.facilities if f.kind == "charging_port"]
-        if not ports:
-            raise WorldError("world has no charging_port facility")
+        if len(ports) != 1:
+            raise WorldError(f"world needs exactly one charging_port facility, has {len(ports)}")
         initial_stock = {(f.location, item): f.stock[item] for item, f in facility_of.items()}
         object.__setattr__(self, "facility_of", facility_of)
         object.__setattr__(self, "charging_room", ports[0])
@@ -105,9 +108,9 @@ class ZArmState:
     charging: bool = False
 
 
-def default_world(clock_start: str | int = DEFAULT_CLOCK_START) -> WorldModel:
-    """The default apartment, its clock starting at `clock_start`."""
-    return world_from_config({"clock_start": clock_start})
+def default_world() -> WorldModel:
+    """The default apartment."""
+    return world_from_config({})
 
 
 def travel_time(world: WorldModel, from_room: str, to_room: str) -> int:

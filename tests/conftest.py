@@ -53,7 +53,7 @@ CANONICAL_PLAN = """[9:56pm] Move to the storeroom
 
 @pytest.fixture
 def world():
-    return default_world("9:54pm")
+    return default_world()
 
 
 @pytest.fixture

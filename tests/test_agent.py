@@ -21,7 +21,7 @@ from aptbot.gateway import ScriptedBackend, ScriptEntry, count_tokens
 from aptbot.plan import PlanParseError, serialize_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
-from aptbot.validator import DurationModel, Violation, validate
+from aptbot.validator import DurationModel, validate, violation
 from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
@@ -51,7 +51,6 @@ def test_fulfilled_on_first_plan(world):
     assert outcome.status == FULFILLED
     assert outcome.attempts == 1
     assert serialize_plan(outcome.plan) == CANONICAL_PLAN
-    assert outcome.schedule is not None
     assert outcome.event_log is not None
     assert outcome.event_log.outcome == "completed"
     assert len(outcome.transcript) == 6
@@ -288,7 +287,7 @@ def test_execution_fault_is_fed_back_until_exhaustion(world, monkeypatch):
 
 def test_replan_feedback_is_deterministic_and_complete():
     failures = [
-        Violation.not_docked_at_end(),
+        violation("NotDockedAtEnd"),
         PlanParseError(2, "malformed time", "[9:5xpm] Move"),
         "unknown item 'unobtainium'",
     ]
@@ -325,7 +324,7 @@ def test_replan_feedback_stays_small_whatever_the_reply(world, bad_reply):
 
 
 def test_replan_feedback_counts_the_problems_it_leaves_out():
-    failures = [Violation.chronology(i) for i in range(FEEDBACK_PROBLEMS + 3)]
+    failures = [violation("Chronology", index=i) for i in range(FEEDBACK_PROBLEMS + 3)]
     problems = replan_feedback(failures).split("Problems found:\n", 1)[1].split("\n")
     assert problems[:-1] == [f.machine_line() for f in failures[:FEEDBACK_PROBLEMS]]
     assert problems[-1] == "and 3 more problems"
@@ -408,7 +407,7 @@ _REPLAN_HEAD = "The previous plan was not acceptable."
 @settings(max_examples=200, deadline=None)
 def test_agent_loop_survives_hostile_replies(script):
     max_retries, replies = script
-    world, config = default_world("9:54pm"), AgentConfig(max_retries=max_retries)
+    world, config = default_world(), AgentConfig(max_retries=max_retries)
     backend = _RecordingBackend(replies)
     outcome = handle_request(REQUEST, world, _arm(), backend, config=config)
 

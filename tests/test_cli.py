@@ -100,6 +100,11 @@ BAD_SECTIONS = {
     ),
     "world-not-object": ("world", []),
     "no-charging-port": ("world", {"facilities": DEFAULT_FACILITIES[:2]}),
+    "two-charging-ports": (
+        "world",
+        {"facilities": [*DEFAULT_FACILITIES, {"kind": "charging_port", "location": "bedroom"}]},
+    ),
+    "repeated-room": ("world", {"rooms": ["living_room", "kitchen", "kitchen", "storeroom"]}),
     "rooms-string": ("world", {"rooms": "kitchen"}),
     "room-not-string": ("world", {"rooms": ["kitchen", 1]}),
     "facilities-not-list": ("world", {"facilities": 3}),
@@ -390,6 +395,42 @@ def test_cli_import_loads_no_network_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def _loaded_by(modules: str) -> set[str]:
+    """The modules that `import <modules>` adds to a fresh interpreter's sys.modules."""
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"import {modules}; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_planning_modules_load_no_agent_stack():
+    planning = ("world", "plan", "validator", "oracle", "simulator")
+    loaded = _loaded_by(", ".join(f"aptbot.{name}" for name in planning))
+    agent_stack = {f"aptbot.{name}" for name in ("agent", "gateway", "prompts", "scenario", "cli")}
+    assert "aptbot.oracle" in loaded
+    assert loaded & agent_stack == set()
+
+
+def test_cli_import_loads_no_oracle():
+    loaded = _loaded_by("aptbot.cli")
+    assert "aptbot.agent" in loaded
+    assert "aptbot.oracle" not in loaded
+
+
+def test_cli_import_loads_only_aptbot_and_the_stdlib():
+    foreign = {
+        name for name in _loaded_by("aptbot.cli")
+        if name.split(".")[0] not in {"aptbot", *sys.stdlib_module_names}
+    }
+    assert foreign == set()
 
 
 def test_no_subcommand_exits_2():

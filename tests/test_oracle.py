@@ -118,7 +118,7 @@ def test_waypoint_cap_is_enforced(world):
         target_time=parse_clock("11:00pm"),
     )
     with pytest.raises(ValueError):
-        enumerate_feasible(world, goal, DurationModel(), START, max_waypoints=8)
+        enumerate_feasible(world, goal, DurationModel(), START)
 
 
 def test_goal_with_more_item_kinds_than_capacity_is_refused(medication_goal):

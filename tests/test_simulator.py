@@ -4,7 +4,7 @@ import random
 from aptbot.clock import parse_clock
 from aptbot.oracle import plan_oracle
 from aptbot.plan import ActionPlan, TimedAction, normalize, parse_plan, serialize_plan
-from aptbot.simulator import COMPLETED, FAULT, execute, render_event_log
+from aptbot.simulator import COMPLETED, FAULT, Event, execute, render_event_log
 from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
@@ -128,6 +128,13 @@ def test_fault_on_move_to_unknown_room(world):
     log = _run_raw("[9:56pm] Move to the attic", world)
     assert log.outcome == FAULT
     assert log.events[-1].detail == "unknown room attic"
+
+
+def test_fault_on_move_from_a_room_the_world_lacks(world):
+    plan = parse_plan("[10:00pm] Move to the kitchen")
+    log = execute(plan, world, ZArmState("garage"), DurationModel())
+    assert log.outcome == FAULT
+    assert log.events == [Event(parse_clock("10:00pm"), FAULT, "unknown room garage")]
 
 
 def test_fault_on_charge_while_undocked(world):
@@ -283,7 +290,7 @@ def test_execute_never_raises_on_random_plans():
         world = rng.choice(worlds)
         carried = rng.sample(["aspirin", "water"], rng.randint(0, 2))
         arm = ZArmState(
-            location=rng.choice(world.rooms),
+            location=rng.choice([*world.rooms, "garage"]),  # one room the world lacks
             payload=[(item, rng.randint(1, 3)) for item in carried],
             docked=rng.random() < 0.5,
         )

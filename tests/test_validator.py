@@ -2,7 +2,7 @@ import pytest
 
 from aptbot.clock import parse_clock
 from aptbot.plan import normalize, parse_plan
-from aptbot.validator import DurationModel, Goal, Violation, validate
+from aptbot.validator import DurationModel, Goal, validate, violation
 from aptbot.world import WorldError, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
@@ -50,7 +50,7 @@ def test_travel_infeasible_reports_needed_and_available(world):
 def test_action_before_clock_start_is_chronology(world):
     goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
     result = _validate("[9:53pm] Wait 1 minute", world, goal)
-    assert [v.kind for v in result.violations] == ["Chronology"]
+    assert [v.machine_line() for v in result.violations] == ["VIOLATION Chronology index=0"]
 
 
 def test_out_of_order_starts_are_chronology(world):
@@ -246,6 +246,6 @@ def test_custom_durations_shift_completions(world):
 
 
 def test_violation_machine_line_format():
-    v = Violation.travel_infeasible(2, 2, 1)
+    v = violation("TravelInfeasible", index=2, needed=2, available=1)
     assert v.machine_line() == "VIOLATION TravelInfeasible index=2 needed=2 available=1"
-    assert Violation.not_docked_at_end().machine_line() == "VIOLATION NotDockedAtEnd"
+    assert violation("NotDockedAtEnd").machine_line() == "VIOLATION NotDockedAtEnd"

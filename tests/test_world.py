@@ -110,6 +110,17 @@ def test_world_requires_charging_port_for_charging_room():
         replace(default_world(), facilities=(Facility("water_cooler", "kitchen", {"water": None}),))
 
 
+def test_world_refuses_a_repeated_room():
+    with pytest.raises(WorldError, match="rooms listed more than once: kitchen"):
+        world_from_config({"rooms": ["living_room", "kitchen", "kitchen", "storeroom"]})
+
+
+def test_world_refuses_a_second_charging_port():
+    ports = (Facility("charging_port", "living_room"), Facility("charging_port", "bedroom"))
+    with pytest.raises(WorldError, match="exactly one charging_port facility, has 2"):
+        replace(default_world(), facilities=ports)
+
+
 def _two_rooms(travel):
     return WorldModel(
         rooms=("a", "b"),
