@@ -1,13 +1,14 @@
 """Deterministic discrete-event execution of a validated plan.
 
 The simulator trusts plan timestamps (the validator already checked them):
-gaps between completion and the next start are idle waiting. Actions obey
-the validator's world rules (`check`, `apply`). The first problem halts the
-run with an in-band `fault` event, before that action changes anything.
-Every world has a charging port, so no plan makes `execute` raise:
-transcripts stay replayable and the agent loop can feed the fault back to
-the model. The final arm state, charging included, comes from the run.
-Inputs are never mutated.
+gaps between completion and the next start are idle waiting. Rooms, travel
+and world rules are the validator's (`plan.required_room`,
+`world.travel_time`, `check`, `apply`). The first problem halts the run
+with an in-band `fault` event, before that action changes anything: a
+rule's `VIOLATION` line, the `WorldError` text, or `not in <room>`. No plan
+makes `execute` raise: transcripts stay replayable and the agent loop can
+feed the fault back to the model. The final arm state, charging included,
+comes from the run. Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .plan import (
     Pick,
     Wait,
     items_text,
+    required_room,
 )
 from .validator import DurationModel, apply, check, start_run
-from .world import WorldModel, ZArmState
+from .world import WorldError, WorldModel, ZArmState, travel_time
 
 COMPLETED = "completed"
 FAULT = "fault"
@@ -81,24 +83,24 @@ def execute(
             return fault(clock, f"action at {format_clock(t)} is already in the past")
 
         kind = type(action)
+        try:
+            if kind is Move:
+                arrive = t + travel_time(world, run.location, action.dest)
+            else:
+                room = required_room(action, world)
+        except WorldError as exc:
+            return fault(t, str(exc))
         if kind is Move:
-            minutes = world.travel.get((run.location, action.dest))
-            if minutes is None:  # travel holds every room pair, so a room is unknown
-                unknown = run.location if run.location not in world.rooms else action.dest
-                return fault(t, f"unknown room {unknown}")
-            arrive = t + minutes
             if arrive >= MINUTES_PER_DAY:
                 return fault(t, "plan runs past midnight")
             events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))
             events.append(Event(arrive, "arrive", action.dest))
-        elif kind is Deliver and run.location != action.dest:
-            return fault(t, f"not in {action.dest}")
-        elif kind is Dock and run.location != world.charging_room:
-            return fault(t, f"charging port not in {run.location}")
+        elif room is not None and room != run.location:
+            return fault(t, f"not in {room}")
         else:
             problems = check(run, world, i, action)
             if problems:
-                return fault(t, problems[0][1])
+                return fault(t, problems[0].machine_line())
             if kind is Pick:
                 events.append(Event(t, "pick", f"{action.qty} {action.item}"))
             elif kind is Fill:

@@ -2,9 +2,11 @@
 
 A timestamp is the action's start; completion = start + duration. The
 world rules (stock, payload, capacity, delivery, charging) live here once,
-in `check` and `apply`, which the simulator uses too. The validator walks
-the whole plan once and reports every violation it finds, never just the
-first, as stable `VIOLATION <kind> <fields>` lines the agent can feed back.
+in `check` and `apply`, which the simulator uses too; the room an action
+needs comes from `plan.required_room`, as in `normalize`. The validator
+walks the whole plan once and reports every violation it finds, never just
+the first, as stable `VIOLATION <kind> <fields>` lines the agent can feed
+back. The simulator faults with the same line, so a problem has one wording.
 The deadline is checked inside that walk: it notes when the goal delivery
 completes.
 """
@@ -144,41 +146,29 @@ def start_run(
     return RunState(location, docked, docked, dict(payload), dict(world.initial_stock), {})
 
 
-def check(
-    run: RunState, world: WorldModel, index: int, action: Action
-) -> list[tuple[Violation, str]]:
-    """Each problem the plan's `index`-th action would hit, as a violation
-    and a simulator fault text; nothing changes. Whether the arm is in the
-    action's room is left to the caller."""
+def check(run: RunState, world: WorldModel, index: int, action: Action) -> list[Violation]:
+    """Each problem the plan's `index`-th action would hit; nothing changes.
+
+    The caller puts the arm in the action's room (`required_room`) first."""
     kind, room, problems = type(action), run.location, []
     if kind is Pick or kind is Fill:
         item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
-        left = run.stock.get((room, item), -1)  # -1: not stocked in this room
-        if left == -1:
-            problems.append((
-                violation("ItemUnavailable", item=item, room=room),
-                f"{item} not available in {room}",
-            ))
-        elif left is not None and left < qty:
-            problems.append(
-                (violation("ItemUnavailable", item=item, room=room), f"stock exhausted: {item}")
-            )
+        left = run.stock[(room, item)]
+        if left is not None and left < qty:
+            problems.append(violation("ItemUnavailable", item=item, room=room))
         if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
-            problems.append(
-                (violation("CapacityExceeded", index=index), "payload capacity exceeded")
-            )
+            problems.append(violation("CapacityExceeded", index=index))
     elif kind is Deliver:
         wanted: dict[str, int] = {}
         for item, qty in action.items:
             wanted[item] = wanted.get(item, 0) + qty
-            if run.payload.get(item, 0) < wanted[item]:
-                problems.append(
-                    (violation("ItemUnavailable", item=item, room=room), f"{item} not in payload")
-                )
-    elif kind is Charge and not run.docked:
-        problems.append(
-            (violation("ItemUnavailable", item="charging_port", room=room), "not docked")
+        problems.extend(
+            violation("ItemUnavailable", item=item, room=room)
+            for item, qty in wanted.items()
+            if run.payload.get(item, 0) < qty
         )
+    elif kind is Charge and not run.docked:
+        problems.append(violation("ItemUnavailable", item="charging_port", room=room))
     return problems
 
 
@@ -194,7 +184,7 @@ def apply(run: RunState, world: WorldModel, action: Action, durations: DurationM
         return minutes
     if kind is Pick or kind is Fill:
         item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
-        left = run.stock.get((run.location, item))
+        left = run.stock[(run.location, item)]
         if left is not None and left >= qty:
             run.stock[(run.location, item)] = left - qty
         run.payload[item] = run.payload.get(item, 0) + qty
@@ -266,7 +256,7 @@ def validate(
                     violation("TravelInfeasible", index=i, needed=needed, available=available)
                 )
                 run.location = room  # keep scanning from where the action assumes
-            violations.extend(v for v, _ in check(run, world, i, action))
+            violations.extend(check(run, world, i, action))
         duration = apply(run, world, action, durations)
         prev_travel = duration if kind is Move else None
 

@@ -1,9 +1,17 @@
 import copy
 import random
+import re
 
 from aptbot.clock import parse_clock
 from aptbot.oracle import plan_oracle
-from aptbot.plan import ActionPlan, TimedAction, normalize, parse_plan, serialize_plan
+from aptbot.plan import (
+    ActionPlan,
+    NormalizeError,
+    TimedAction,
+    normalize,
+    parse_plan,
+    serialize_plan,
+)
 from aptbot.simulator import COMPLETED, FAULT, Event, execute, render_event_log
 from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import ZArmState, default_world, world_from_config
@@ -89,13 +97,13 @@ def test_fault_on_exhausted_stock():
     )
     log = _run("[9:56pm] Move to the storeroom\n[9:58pm] Pick 2 aspirin", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "stock exhausted: aspirin"
+    assert log.events[-1].detail == "VIOLATION ItemUnavailable item=aspirin room=storeroom"
 
 
 def test_fault_on_item_absent_in_room(world):
     log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Pick 1 aspirin", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "aspirin not available in kitchen"
+    assert log.events[-1].detail == "not in storeroom"
 
 
 def test_fault_on_capacity_breach(world):
@@ -108,7 +116,7 @@ def test_fault_on_capacity_breach(world):
     )
     log = _run(text, world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "payload capacity exceeded"
+    assert log.events[-1].detail == "VIOLATION CapacityExceeded index=4"
 
 
 def test_fault_on_deliver_without_payload_is_atomic(world):
@@ -119,7 +127,7 @@ def test_fault_on_deliver_without_payload_is_atomic(world):
     )
     log = _run(text, world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "water not in payload"
+    assert log.events[-1].detail == "VIOLATION ItemUnavailable item=water room=storeroom"
     assert log.delivered == {}
     assert log.final_state.payload == [("aspirin", 1)]
 
@@ -127,26 +135,27 @@ def test_fault_on_deliver_without_payload_is_atomic(world):
 def test_fault_on_move_to_unknown_room(world):
     log = _run_raw("[9:56pm] Move to the attic", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "unknown room attic"
+    assert log.events[-1].detail == "unknown room 'attic'"
 
 
 def test_fault_on_move_from_a_room_the_world_lacks(world):
     plan = parse_plan("[10:00pm] Move to the kitchen")
     log = execute(plan, world, ZArmState("garage"), DurationModel())
     assert log.outcome == FAULT
-    assert log.events == [Event(parse_clock("10:00pm"), FAULT, "unknown room garage")]
+    assert log.events == [Event(parse_clock("10:00pm"), FAULT, "unknown room 'garage'")]
 
 
 def test_fault_on_charge_while_undocked(world):
-    log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Start charging", world)
+    plan = parse_plan("[9:56pm] Start charging")
+    log = execute(plan, world, ZArmState("living_room"), DurationModel())
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "not docked"
+    assert log.events[-1].detail == "VIOLATION ItemUnavailable item=charging_port room=living_room"
 
 
 def test_fault_on_dock_away_from_port(world):
     log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Dock", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "charging port not in kitchen"
+    assert log.events[-1].detail == "not in living_room"
 
 
 def test_fault_when_plan_runs_past_midnight(world):
@@ -199,7 +208,7 @@ def test_capacity_comes_from_the_world_not_the_arm():
     assert arm.capacity == 2
     log = execute(plan, world, arm, DurationModel())
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "payload capacity exceeded"
+    assert log.events[-1].detail == "VIOLATION CapacityExceeded index=2"
 
 
 def test_deliver_naming_an_item_twice_needs_the_sum_in_payload(world):
@@ -217,7 +226,7 @@ def test_deliver_naming_an_item_twice_needs_the_sum_in_payload(world):
     ]
     log = execute(plan, world, _arm(), DurationModel())
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "aspirin not in payload"
+    assert log.events[-1].detail == "VIOLATION ItemUnavailable item=aspirin room=storeroom"
     assert log.final_state.payload == [("aspirin", 1)]
 
 
@@ -282,6 +291,16 @@ def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
     assert perturbed > 100 and rejected > 100, (perturbed, accepted, rejected)
 
 
+# Every fault detail: a rule's VIOLATION line, or one of the simulator's own texts.
+_FAULT_DETAIL = re.compile(
+    r"VIOLATION (?:ItemUnavailable item=\w+ room=\w+|CapacityExceeded index=\d+)"
+    r"|action at \d{1,2}:\d\d[ap]m is already in the past"
+    r"|plan runs past midnight"
+    rf"|not in (?:{'|'.join(default_world().rooms)})"
+    r"|unknown (?:room|item) '\w+'"
+)
+
+
 def test_execute_never_raises_on_random_plans():
     rng = random.Random(45)
     worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
@@ -298,4 +317,28 @@ def test_execute_never_raises_on_random_plans():
         assert log.outcome in (COMPLETED, FAULT)
         render_event_log(log)
         outcomes.add(log.outcome)
+        if log.outcome == FAULT:
+            assert _FAULT_DETAIL.fullmatch(log.events[-1].detail), log.events[-1].detail
     assert outcomes == {COMPLETED, FAULT}
+
+
+def test_a_rule_fault_is_a_line_the_validator_reports():
+    rng = random.Random(7)
+    world = world_from_config({"clock_start": "12:00am"})  # few actions start in the past
+    goal = Goal((("aspirin", 1),), "living_room", parse_clock("10:30pm"))
+    faults = 0
+    for _ in range(4000):
+        room = rng.choice(world.rooms)
+        docked = room == world.charging_room and rng.random() < 0.5
+        try:
+            plan = normalize(_random_plan(rng), world, room)
+        except NormalizeError:
+            continue
+        log = execute(plan, world, ZArmState(room, docked=docked), DurationModel())
+        detail = log.events[-1].detail if log.outcome == FAULT else ""
+        if detail.startswith("VIOLATION"):
+            faults += 1
+            start = (room, world.clock_start)
+            result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
+            assert detail in [v.machine_line() for v in result.violations], serialize_plan(plan)
+    assert faults > 1000

@@ -115,6 +115,20 @@ def test_deliver_without_payload_is_item_unavailable(world):
     ]
 
 
+def test_deliver_reports_each_short_item_once_in_first_mention_order(world):
+    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    result = _validate("[9:58pm] Deliver 1 aspirin and 1 aspirin to the living room", world, goal)
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION ItemUnavailable item=aspirin room=living_room"
+    ]
+    text = "[9:58pm] Deliver 1 water, 1 aspirin and 1 water to the living room"
+    result = _validate(text, world, goal)
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION ItemUnavailable item=water room=living_room",
+        "VIOLATION ItemUnavailable item=aspirin room=living_room",
+    ]
+
+
 def test_empty_plan_against_medication_goal_is_goal_unmet_only(world, medication_goal):
     plan = parse_plan("")
     result = validate(
