@@ -20,6 +20,7 @@ from .prompts import (
     RequestType,
     TemplateEntry,
     build_few_shot_prompt,
+    classify_prompt,
     classify_request,
     context_aware_description,
     default_templates,
@@ -136,12 +137,13 @@ def _exchange(
     config: AgentConfig,
     prompt: str,
     judge: Callable[[str], object],
-    feedback: Callable[[list], str],
+    feedback: Callable[[list], str] | None = None,
 ) -> object:
     """Send `prompt` and judge the reply, re-asking up to `max_retries` times.
 
     `judge` returns an accepted value or a list of failures, which
-    `feedback` turns into the next prompt. Returns the last verdict; a
+    `feedback` turns into the next prompt; without `feedback`, `judge`
+    must never return a list. Returns the last verdict; a
     GatewayError propagates, and the session keeps every judged exchange.
     """
     for _ in range(config.max_retries + 1):
@@ -177,7 +179,7 @@ def handle_request(
         return RequestOutcome(status, transcript=list(session.turns), attempts=attempts, **fields)
 
     try:
-        req_type = classify_request(backend, request, session, config.params, config.token_budget)
+        req_type = _exchange(backend, session, config, classify_prompt(request), classify_request)
         if req_type is RequestType.UNKNOWN:
             raw = session.turns[-1].content
             return outcome(REJECTED_UNKNOWN_TYPE, error=f"unrecognized request type: {raw!r}")

@@ -45,11 +45,7 @@ def render_transcript(turns: list[ChatMessage]) -> str:
 
 
 def fresh_arm(scenario_world) -> ZArmState:
-    return ZArmState(
-        location=scenario_world.charging_room,
-        docked=True,
-        charging=True,
-    )
+    return ZArmState(location=scenario_world.charging_room, docked=True)
 
 
 def _write_outputs(outcome: RequestOutcome, out_dir: Path) -> None:

@@ -61,7 +61,7 @@ def _build(
         t += durations.deliver_min
         delivery_completion = t
 
-    if goal.require_terminal_dock and not (start_docked and not actions and current == world.charging_room):
+    if not (start_docked and not actions and current == world.charging_room):
         move_to(world.charging_room)
         actions.append(TimedAction(t, Dock()))
         t += durations.dock_min

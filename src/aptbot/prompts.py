@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 
 from .clock import parse_clock, ClockParseError
-from .gateway import Backend, GenerationParams, Session, complete
 from .plan import room_id, room_text
 from .validator import Goal
 from .world import WorldModel
@@ -116,18 +115,10 @@ def extract_option(answer: str) -> str | None:
     return letters[0]
 
 
-def classify_request(
-    backend: Backend,
-    request: str,
-    session: Session,
-    params: GenerationParams,
-    token_budget: int,
-) -> RequestType:
-    """One-shot classification via the frozen fixture prompt."""
-    prompt = build_few_shot_prompt(CLASSIFY_DESCRIPTION, CLASSIFY_EXAMPLE, request)
-    answer = complete(backend, session, prompt, params, token_budget)
-    letter = extract_option(answer)
-    return _LETTER_TO_TYPE.get(letter, RequestType.UNKNOWN)
+def classify_request(answer: str) -> RequestType:
+    """The request type a reply to `classify_prompt` names; UNKNOWN when
+    it names none, or more than one."""
+    return _LETTER_TO_TYPE.get(extract_option(answer), RequestType.UNKNOWN)
 
 
 def context_aware_description(lines: list[str], base: str) -> str:
@@ -185,6 +176,11 @@ def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
         target_time=target,
         tolerance=tolerance,
     )
+
+
+def classify_prompt(request: str) -> str:
+    """One-shot classification via the frozen fixture prompt."""
+    return build_few_shot_prompt(CLASSIFY_DESCRIPTION, CLASSIFY_EXAMPLE, request)
 
 
 def goal_prompt(request: str) -> str:

@@ -7,8 +7,9 @@ and world rules are the validator's (`plan.required_room`,
 with an in-band `fault` event, before that action changes anything: a
 rule's `VIOLATION` line, the `WorldError` text, or `not in <room>`. No plan
 makes `execute` raise: transcripts stay replayable and the agent loop can
-feed the fault back to the model. The final arm state, charging included,
-comes from the run. Inputs are never mutated.
+feed the fault back to the model. A run starts as the validator's does
+(`start_run`), and the log's `final_state` is that run's `RunState` as it
+ended. Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .plan import (
     items_text,
     required_room,
 )
-from .validator import DurationModel, apply, check, start_run
+from .validator import DurationModel, RunState, apply, check, start_run
 from .world import WorldError, WorldModel, ZArmState, travel_time
 
 COMPLETED = "completed"
@@ -47,10 +48,13 @@ class Event:
 
 @dataclass
 class EventLog:
+    """The events of one run, the run's own state as it ended, and whether
+    it completed. `delivered` is `final_state.delivered`: room -> item ->
+    quantity dropped off there."""
+
     events: list[Event]
-    final_state: ZArmState
+    final_state: RunState
     outcome: str
-    # room -> item -> quantity dropped off there
     delivered: dict[str, dict[str, int]]
 
 
@@ -64,18 +68,15 @@ def execute(
     arm: ZArmState,
     durations: DurationModel,
 ) -> EventLog:
-    run = start_run(world, arm.location, arm.docked, arm.payload)
+    """Run `plan` from `arm`'s start at the world's `clock_start`, as
+    `validate` would start it, until it completes or faults."""
+    run = start_run(world, arm.location, arm.docked)
     events: list[Event] = []
     clock = world.clock_start
 
-    def finish(outcome: str) -> EventLog:
-        payload = sorted(run.payload.items())
-        state = ZArmState(run.location, payload, arm.capacity, run.docked, run.charging)
-        return EventLog(events, state, outcome, run.delivered)
-
     def fault(time: int, reason: str) -> EventLog:
         events.append(Event(min(time, MINUTES_PER_DAY - 1), FAULT, reason))
-        return finish(FAULT)
+        return EventLog(events, run, FAULT, run.delivered)
 
     for i, ta in enumerate(plan.actions):
         t, action = ta.start, ta.action
@@ -118,4 +119,4 @@ def execute(
         if clock >= MINUTES_PER_DAY:
             return fault(MINUTES_PER_DAY - 1, "plan runs past midnight")
 
-    return finish(COMPLETED)
+    return EventLog(events, run, COMPLETED, run.delivered)

@@ -1,19 +1,18 @@
 """Static feasibility checking of a canonical plan, and the world rules.
 
 A timestamp is the action's start; completion = start + duration. The
-world rules (stock, payload, capacity, delivery, charging) live here once,
-in `check` and `apply`, which the simulator uses too; the room an action
-needs comes from `plan.required_room`, as in `normalize`. The validator
-walks the whole plan once and reports every violation it finds, never just
-the first, as stable `VIOLATION <kind> <fields>` lines the agent can feed
-back. The simulator faults with the same line, so a problem has one wording.
-The deadline is checked inside that walk: it notes when the goal delivery
-completes.
+world rules (a run's start, stock, payload, capacity, delivery, docking and
+charging) live here once, in `start_run`, `check` and `apply`, which the
+simulator uses too; the room an action needs comes from
+`plan.required_room`, as in `normalize`. The validator walks the whole plan
+once and reports every violation it finds, never just the first, as stable
+`VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
+faults with the same line, so a problem has one wording. The deadline is
+checked inside that walk: it notes when the goal delivery completes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .clock import MINUTES_PER_DAY, format_clock
@@ -52,7 +51,6 @@ class Goal:
     destination: str
     target_time: int
     tolerance: int = 5
-    require_terminal_dock: bool = True
 
     def __post_init__(self) -> None:
         if self.tolerance < 0:
@@ -137,13 +135,12 @@ class RunState:
     delivered: dict[str, dict[str, int]]
 
 
-def start_run(
-    world: WorldModel, location: str, docked: bool, payload: Iterable[tuple[str, int]] = ()
-) -> RunState:
-    """The arm at `location` carrying `payload`, and a copy of the world's stock.
-
-    A docked arm starts out charging."""
-    return RunState(location, docked, docked, dict(payload), dict(world.initial_stock), {})
+def start_run(world: WorldModel, location: str, docked: bool) -> RunState:
+    """How every run starts: the arm empty-handed at `location`, and a copy
+    of the world's stock. It is docked, and so charging, only if `docked`
+    and `location` is the world's charging room."""
+    docked = docked and location == world.charging_room
+    return RunState(location, docked, docked, {}, dict(world.initial_stock), {})
 
 
 def check(run: RunState, world: WorldModel, index: int, action: Action) -> list[Violation]:
@@ -292,9 +289,9 @@ def validate(
             tolerance=goal.tolerance,
         ))
 
-    if goal.require_terminal_dock and not run.docked:
+    if not run.docked:
         violations.append(violation("NotDockedAtEnd"))
-    elif goal.require_terminal_dock and not run.charging:
+    elif not run.charging:
         violations.append(violation("NotChargingAtEnd"))
 
     return ValidationResult(None if violations else schedule, violations, run.delivered)

@@ -147,7 +147,7 @@ def test_criterion_2_order_variance(world, medication_goal):
                 ScriptEntry(response=KITCHEN_FIRST, contains="Current context:"),
             ]
         )
-        arm = ZArmState(location="living_room", docked=True, charging=True)
+        arm = ZArmState(location="living_room", docked=True)
         outcome = handle_request(
             "please bring me two pills of aspirin with a glass of water "
             "at 10:00pm in the living room",
@@ -315,7 +315,6 @@ def test_criterion_5_coherence():
                 location=start_room,
                 capacity=world.capacity,
                 docked=start_docked,
-                charging=False,
             )
             log = execute(plan, world, arm, DurationModel())
             assert log.outcome == COMPLETED, log.events[-1].line()
@@ -325,7 +324,7 @@ def test_criterion_5_coherence():
             for room_items in log.delivered.values():
                 for item, qty in room_items.items():
                     delivered_totals[item] = delivered_totals.get(item, 0) + qty
-            carried = dict(log.final_state.payload)
+            carried = log.final_state.payload
             for item in set(acquired) | set(delivered_totals) | set(carried):
                 assert acquired.get(item, 0) == delivered_totals.get(item, 0) + carried.get(item, 0)
             for item, qty in goal.deliveries:

@@ -33,7 +33,7 @@ SLOT_LINE = "item=aspirin; qty=2; companion=water; time=10:00pm; room=living roo
 
 
 def _arm():
-    return ZArmState(location="living_room", docked=True, charging=True)
+    return ZArmState(location="living_room", docked=True)
 
 
 def _happy_backend():

@@ -118,6 +118,16 @@ BAD_SECTIONS = {
     "stock-override-not-object": ("world", {"stock": {"medicine_box": 3}}),
     "travel-not-object": ("world", {"travel": [1]}),
     "travel-minutes-bool": ("world", {"travel": {"kitchen,bedroom": True}}),
+    "travel-minutes-negative": ("world", {"travel": {"kitchen,bedroom": -1}}),
+    "facility-in-unknown-room": (
+        "world", {"facilities": [*DEFAULT_FACILITIES, {"kind": "fridge", "location": "attic"}]}
+    ),
+    "stock-negative": ("world", {"stock": {"medicine_box": {"aspirin": -1}}}),
+    "stock-override-unknown-facility": ("world", {"stock": {"fridge": {"milk": 1}}}),
+    "capacity-negative": ("world", {"capacity": -1}),
+    "max-retries-negative": ("config", {"max_retries": -1}),
+    "tolerance-negative": ("config", {"tolerance": -1}),
+    "token-budget-zero": ("config", {"token_budget": 0}),
     "max-output-tokens-string": ("config", {"max_output_tokens": "abc"}),
     "temperature-out-of-range": ("config", {"temperature": 9}),
     "duration-negative": ("config", {"durations": {"pick": -1}}),
@@ -417,6 +427,12 @@ def test_planning_modules_load_no_agent_stack():
     agent_stack = {f"aptbot.{name}" for name in ("agent", "gateway", "prompts", "scenario", "cli")}
     assert "aptbot.oracle" in loaded
     assert loaded & agent_stack == set()
+
+
+def test_prompts_import_loads_no_gateway():
+    loaded = _loaded_by("aptbot.prompts")
+    assert "aptbot.prompts" in loaded
+    assert "aptbot.gateway" not in loaded
 
 
 def test_cli_import_loads_no_oracle():

@@ -87,19 +87,6 @@ def test_late_target_shifts_plan_to_land_on_target(world):
     assert deliveries == [parse_clock("10:30pm")]
 
 
-def test_no_dock_tail_when_not_required(world):
-    goal = Goal(
-        (("water", 1),),
-        destination="bedroom",
-        target_time=parse_clock("10:10pm"),
-        require_terminal_dock=False,
-    )
-    best = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
-    kinds = [type(t.action) for t in best.actions]
-    assert Dock not in kinds
-    assert Charge not in kinds
-
-
 def test_dock_tail_present_by_default(world):
     goal = Goal(
         (("water", 1),),

@@ -1,7 +1,6 @@
 import pytest
 
 from aptbot.clock import parse_clock
-from aptbot.gateway import GenerationParams, ScriptedBackend, ScriptEntry, Session
 from aptbot.plan import normalize, parse_plan
 from aptbot.prompts import (
     CLASSIFY_DESCRIPTION,
@@ -116,10 +115,6 @@ def test_extract_option(answer, expected):
     assert extract_option(answer) == expected
 
 
-def _backend(response):
-    return ScriptedBackend([ScriptEntry(response=response, step=1)])
-
-
 @pytest.mark.parametrize(
     "reply,expected",
     [
@@ -131,8 +126,7 @@ def _backend(response):
     ],
 )
 def test_classify_request_maps_letters(reply, expected):
-    answer = classify_request(_backend(reply), "bring me aspirin", Session(), GenerationParams(), 8192)
-    assert answer == expected
+    assert classify_request(reply) == expected
 
 
 def test_context_aware_description_appends_readings(world):

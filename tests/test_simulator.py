@@ -32,7 +32,7 @@ GOLDEN_EVENTS = """9:56pm depart living_room -> storeroom
 
 
 def _arm():
-    return ZArmState(location="living_room", docked=True, charging=True)
+    return ZArmState(location="living_room", docked=True)
 
 
 def _run(text, world, arm=None):
@@ -56,7 +56,7 @@ def test_final_state_after_canonical_plan(world):
     assert state.location == "living_room"
     assert state.docked
     assert state.charging
-    assert state.payload == []
+    assert state.payload == {}
     assert log.delivered == {"living_room": {"aspirin": 2, "water": 1}}
 
 
@@ -129,7 +129,7 @@ def test_fault_on_deliver_without_payload_is_atomic(world):
     assert log.outcome == FAULT
     assert log.events[-1].detail == "VIOLATION ItemUnavailable item=water room=storeroom"
     assert log.delivered == {}
-    assert log.final_state.payload == [("aspirin", 1)]
+    assert log.final_state.payload == {"aspirin": 1}
 
 
 def test_fault_on_move_to_unknown_room(world):
@@ -188,7 +188,7 @@ def test_item_conservation_with_finite_stock(world):
     assert log.outcome == COMPLETED
     initial = 10
     delivered = log.delivered.get("bedroom", {}).get("aspirin", 0)
-    carried = dict(log.final_state.payload).get("aspirin", 0)
+    carried = log.final_state.payload.get("aspirin", 0)
     assert delivered == 1
     assert carried == 1
     assert delivered + carried == initial - 8
@@ -198,11 +198,12 @@ def test_capacity_comes_from_the_world_not_the_arm():
     world = world_from_config({"capacity": 1, "clock_start": "9:54pm"})
     text = "[9:56pm] Move to the storeroom\n[9:58pm] Pick 1 aspirin\n[9:59pm] Pick 1 ibuprofen"
     plan = normalize(parse_plan(text), world, "living_room")
-    goal = Goal((), "living_room", parse_clock("10:10pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:10pm"))
     start = ("living_room", world.clock_start)
     result = validate(plan, world, goal, DurationModel(), start, start_docked=True)
     assert [v.machine_line() for v in result.violations] == [
-        "VIOLATION CapacityExceeded index=2"
+        "VIOLATION CapacityExceeded index=2",
+        "VIOLATION NotDockedAtEnd",
     ]
     arm = _arm()
     assert arm.capacity == 2
@@ -218,16 +219,28 @@ def test_deliver_naming_an_item_twice_needs_the_sum_in_payload(world):
         "[9:59pm] Deliver 1 aspirin and 1 aspirin to the storeroom"
     )
     plan = normalize(parse_plan(text), world, "living_room")
-    goal = Goal((), "storeroom", parse_clock("10:10pm"), require_terminal_dock=False)
+    goal = Goal((), "storeroom", parse_clock("10:10pm"))
     start = ("living_room", world.clock_start)
     result = validate(plan, world, goal, DurationModel(), start, start_docked=True)
     assert [v.machine_line() for v in result.violations] == [
-        "VIOLATION ItemUnavailable item=aspirin room=storeroom"
+        "VIOLATION ItemUnavailable item=aspirin room=storeroom",
+        "VIOLATION NotDockedAtEnd",
     ]
     log = execute(plan, world, _arm(), DurationModel())
     assert log.outcome == FAULT
     assert log.events[-1].detail == "VIOLATION ItemUnavailable item=aspirin room=storeroom"
-    assert log.final_state.payload == [("aspirin", 1)]
+    assert log.final_state.payload == {"aspirin": 1}
+
+
+def test_an_arm_docked_away_from_the_port_starts_undocked(world):
+    # Only the living room has a charging port, so a kitchen arm is not docked.
+    start, goal = ("kitchen", world.clock_start), Goal((), "kitchen", 0)
+    result = validate(parse_plan(""), world, goal, DurationModel(), start, start_docked=True)
+    assert [v.machine_line() for v in result.violations] == ["VIOLATION NotDockedAtEnd"]
+    log = execute(parse_plan(""), world, ZArmState("kitchen", docked=True), DurationModel())
+    assert log.outcome == COMPLETED
+    assert not log.final_state.docked
+    assert not log.final_state.charging
 
 
 def _perturb(rng, plan):
@@ -271,7 +284,7 @@ def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
         target = clock + rng.randint(20, 120)
         goal = Goal(deliveries, rng.choice(rooms), target, rng.randint(0, 10))
         start_room = rng.choice(rooms)
-        docked = start_room == world.charging_room and rng.random() < 0.5
+        docked = rng.random() < 0.5
         start = (start_room, clock)
         try:
             oracle_plan = plan_oracle(world, goal, DurationModel(), start, start_docked=docked)
@@ -288,6 +301,7 @@ def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
             log = execute(plan, world, arm, DurationModel())
             assert log.outcome == COMPLETED, (serialize_plan(plan), log.events[-1].line())
             assert log.delivered == result.delivered
+            assert log.final_state.docked and log.final_state.charging
     assert perturbed > 100 and rejected > 100, (perturbed, accepted, rejected)
 
 
@@ -307,10 +321,8 @@ def test_execute_never_raises_on_random_plans():
     outcomes = set()
     for _ in range(3000):
         world = rng.choice(worlds)
-        carried = rng.sample(["aspirin", "water"], rng.randint(0, 2))
         arm = ZArmState(
             location=rng.choice([*world.rooms, "garage"]),  # one room the world lacks
-            payload=[(item, rng.randint(1, 3)) for item in carried],
             docked=rng.random() < 0.5,
         )
         log = execute(_random_plan(rng), world, arm, DurationModel())
@@ -329,7 +341,7 @@ def test_a_rule_fault_is_a_line_the_validator_reports():
     faults = 0
     for _ in range(4000):
         room = rng.choice(world.rooms)
-        docked = room == world.charging_room and rng.random() < 0.5
+        docked = rng.random() < 0.5
         try:
             plan = normalize(_random_plan(rng), world, room)
         except NormalizeError:

@@ -39,29 +39,30 @@ def test_kitchen_first_variant_is_valid(world, medication_goal):
 
 
 def test_travel_infeasible_reports_needed_and_available(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     text = "[9:56pm] Move to the kitchen\n[9:57pm] Fill glass with water"
     result = _validate(text, world, goal)
     assert [v.machine_line() for v in result.violations] == [
-        "VIOLATION TravelInfeasible index=0 needed=2 available=1"
+        "VIOLATION TravelInfeasible index=0 needed=2 available=1",
+        "VIOLATION NotDockedAtEnd",
     ]
 
 
 def test_action_before_clock_start_is_chronology(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     result = _validate("[9:53pm] Wait 1 minute", world, goal)
     assert [v.machine_line() for v in result.violations] == ["VIOLATION Chronology index=0"]
 
 
 def test_out_of_order_starts_are_chronology(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     text = "[10:00pm] Wait 5 minutes\n[9:58pm] Wait 1 minute"
     result = _validate(text, world, goal)
     assert any(v.kind == "Chronology" for v in result.violations)
 
 
 def test_overlapping_stationary_actions_are_chronology(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     text = "[9:56pm] Wait 5 minutes\n[9:58pm] Wait 1 minute"
     result = _validate(text, world, goal)
     assert [v.kind for v in result.violations] == ["Chronology"]
@@ -69,16 +70,17 @@ def test_overlapping_stationary_actions_are_chronology(world):
 
 def test_pick_beyond_stock_is_item_unavailable():
     world = world_from_config({"stock": {"medicine_box": {"aspirin": 1}}, "clock_start": "9:54pm"})
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     text = "[9:56pm] Move to the storeroom\n[9:58pm] Pick 2 aspirin"
     result = _validate(text, world, goal)
     assert [v.machine_line() for v in result.violations] == [
-        "VIOLATION ItemUnavailable item=aspirin room=storeroom"
+        "VIOLATION ItemUnavailable item=aspirin room=storeroom",
+        "VIOLATION NotDockedAtEnd",
     ]
 
 
 def test_unbounded_water_never_runs_out(world):
-    goal = Goal((), "living_room", parse_clock("11:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("11:00pm"))
     text = (
         "[9:56pm] Move to the kitchen\n"
         "[9:58pm] Fill glass with water\n"
@@ -86,13 +88,15 @@ def test_unbounded_water_never_runs_out(world):
         "[10:00pm] Fill glass with water\n"
         "[10:01pm] Deliver 1 water to the kitchen"
     )
-    assert _validate(text, world, goal).ok
+    result = _validate(text, world, goal)
+    assert [v.machine_line() for v in result.violations] == ["VIOLATION NotDockedAtEnd"]
 
 
 def test_capacity_counts_payload_slots_not_units(world):
-    goal = Goal((), "living_room", parse_clock("10:10pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:10pm"))
     text = "[9:56pm] Move to the storeroom\n[9:58pm] Pick 2 aspirin"
-    assert _validate(text, world, goal).ok
+    result = _validate(text, world, goal)
+    assert [v.machine_line() for v in result.violations] == ["VIOLATION NotDockedAtEnd"]
 
     text = (
         "[9:56pm] Move to the storeroom\n"
@@ -103,12 +107,13 @@ def test_capacity_counts_payload_slots_not_units(world):
     )
     result = _validate(text, world, goal)
     assert [v.machine_line() for v in result.violations] == [
-        "VIOLATION CapacityExceeded index=4"
+        "VIOLATION CapacityExceeded index=4",
+        "VIOLATION NotDockedAtEnd",
     ]
 
 
 def test_deliver_without_payload_is_item_unavailable(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     result = _validate("[9:56pm] Deliver 1 aspirin to the living room", world, goal)
     assert [v.machine_line() for v in result.violations] == [
         "VIOLATION ItemUnavailable item=aspirin room=living_room"
@@ -116,7 +121,7 @@ def test_deliver_without_payload_is_item_unavailable(world):
 
 
 def test_deliver_reports_each_short_item_once_in_first_mention_order(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     result = _validate("[9:58pm] Deliver 1 aspirin and 1 aspirin to the living room", world, goal)
     assert [v.machine_line() for v in result.violations] == [
         "VIOLATION ItemUnavailable item=aspirin room=living_room"
@@ -173,9 +178,7 @@ def test_deadline_missed_past_tolerance(world, medication_goal):
 
 
 def test_deadline_uses_last_matching_delivery(world):
-    goal = Goal(
-        (("water", 1),), "kitchen", parse_clock("10:04pm"), require_terminal_dock=False
-    )
+    goal = Goal((("water", 1),), "kitchen", parse_clock("10:04pm"))
     text = (
         "[9:56pm] Move to the kitchen\n"
         "[9:58pm] Fill glass with water\n"
@@ -183,7 +186,8 @@ def test_deadline_uses_last_matching_delivery(world):
         "[10:00pm] Fill glass with water\n"
         "[10:03pm] Deliver 1 water to the kitchen"
     )
-    assert _validate(text, world, goal).ok
+    result = _validate(text, world, goal)
+    assert [v.machine_line() for v in result.violations] == ["VIOLATION NotDockedAtEnd"]
 
 
 def test_missing_terminal_dock_flagged(world, medication_goal):
@@ -204,15 +208,16 @@ def test_docked_start_counts_as_charging(world):
 
 
 def test_charge_while_undocked_is_item_unavailable(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
     result = _validate("[9:56pm] Start charging", world, goal, start_docked=False)
     assert [v.machine_line() for v in result.violations] == [
-        "VIOLATION ItemUnavailable item=charging_port room=living_room"
+        "VIOLATION ItemUnavailable item=charging_port room=living_room",
+        "VIOLATION NotDockedAtEnd",
     ]
 
 
 def test_plan_running_past_midnight_is_wraparound(world):
-    goal = Goal((), "living_room", parse_clock("11:59pm"), require_terminal_dock=False)
+    goal = Goal((), "living_room", parse_clock("11:59pm"))
     result = _validate("[11:59pm] Wait 10 minutes", world, goal)
     assert [v.kind for v in result.violations] == ["TimeWraparound"]
 
@@ -247,16 +252,19 @@ def test_unknown_item_in_plan_raises_world_error(world, medication_goal):
 
 
 def test_custom_durations_shift_completions(world):
-    goal = Goal((), "living_room", parse_clock("10:00pm"), require_terminal_dock=False)
-    plan = normalize(
-        parse_plan("[9:56pm] Move to the storeroom\n[9:58pm] Pick 1 aspirin"),
-        world,
-        "living_room",
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
+    text = (
+        "[9:56pm] Move to the storeroom\n"
+        "[9:58pm] Pick 1 aspirin\n"
+        "[10:01pm] Move to the living room\n"
+        "[10:03pm] Dock at the charging port\n"
+        "[10:05pm] Start charging"
     )
+    plan = normalize(parse_plan(text), world, "living_room")
     durations = DurationModel(pick_min=3)
     result = validate(plan, world, goal, durations, START, start_docked=True)
     assert result.ok
-    assert result.schedule[-1].completion == parse_clock("10:01pm")
+    assert result.schedule[1].completion == parse_clock("10:01pm")
 
 
 def test_violation_machine_line_format():

@@ -100,6 +100,8 @@ def test_world_from_config_rejects_bad_travel_pair():
         world_from_config({"travel": {"living_room": 3}})
     with pytest.raises(WorldError):
         world_from_config({"travel": {"living_room,garage": 3}})
+    with pytest.raises(WorldError, match="travel minutes must be an int >= 0"):
+        world_from_config({"travel": {"bedroom,kitchen": -1}})
 
 
 def test_world_requires_charging_port_for_charging_room():
@@ -160,7 +162,7 @@ def test_unknown_lookups_keep_their_error_type_and_message(world):
         (lambda: travel_time(world, "x", "y"), WorldError, "unknown room 'x'"),
         (lambda: item_location(world, "x"), WorldError, "unknown item 'x'"),
     ]
-    goal = Goal((), "living_room", 0, require_terminal_dock=False)
+    goal = Goal((), "living_room", 0)
     start = ("living_room", world.clock_start)
     for phrase, message in [
         ("Pick 1 x", "unknown item 'x'"),
@@ -200,7 +202,7 @@ def test_world_value_semantics_ignore_derived_tables():
 def test_runs_never_mutate_their_world(medication_goal):
     world = world_from_config({"stock": {"medicine_box": {"aspirin": 2}}})
     stocks = copy.deepcopy([f.stock for f in world.facilities])
-    arm = ZArmState(location="living_room", docked=True, charging=True)
+    arm = ZArmState(location="living_room", docked=True)
     plan = normalize(parse_plan(CANONICAL_PLAN), world, "living_room")
     durations = DurationModel()
     start = ("living_room", world.clock_start)
@@ -222,9 +224,9 @@ def test_a_second_execute_still_finds_the_last_unit_in_stock():
         world,
         "living_room",
     )
-    arm = ZArmState(location="living_room", docked=True, charging=True)
+    arm = ZArmState(location="living_room", docked=True)
     for _ in range(2):
         log = execute(plan, world, arm, DurationModel())
         assert log.outcome == COMPLETED
-        assert log.final_state.payload == [("aspirin", 1)]
+        assert log.final_state.payload == {"aspirin": 1}
     assert item_location(world, "aspirin").stock["aspirin"] == 1
