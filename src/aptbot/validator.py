@@ -1,14 +1,16 @@
 """Static feasibility checking of a canonical plan, and the world rules.
 
 A timestamp is the action's start; completion = start + duration. The
-world rules (a run's start, stock, payload, capacity, delivery, docking and
-charging) live here once, in `start_run`, `check` and `apply`, which the
-simulator uses too; the room an action needs comes from
-`plan.required_room`, as in `normalize`. The validator walks the whole plan
-once and reports every violation it finds, never just the first, as stable
-`VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
-faults with the same line, so a problem has one wording. The deadline is
-checked inside that walk: it notes when the goal delivery completes.
+world rules (a run's start, timing, stock, payload, capacity, delivery,
+docking and charging) live here once: `start_run` starts a run, `check`
+finds every problem one action would hit and its completion, and `apply`
+carries it out. The simulator runs the same three; the room an action
+needs comes from `plan.required_room`, as in `normalize`. The validator
+walks the whole plan once and reports every violation it finds, never just
+the first, as stable `VIOLATION <kind> <fields>` lines the agent can feed
+back. The simulator faults with the first of them, so a problem has one
+wording. The deadline is checked inside that walk: it notes when the goal
+delivery completes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
-    Action,
     ActionPlan,
     Charge,
     Deliver,
@@ -125,7 +126,9 @@ class ValidationResult:
 @dataclass(slots=True)
 class RunState:
     """What a run changes. `stock` maps (room, item) to the quantity left
-    there, None for unbounded; `delivered` maps room -> item -> quantity."""
+    there, None for unbounded; `delivered` maps room -> item -> quantity.
+    `free_at` is the latest completion so far, `last_start` the previous
+    action's start, and `last_travel` its minutes when it was a Move."""
 
     location: str
     docked: bool
@@ -133,74 +136,115 @@ class RunState:
     payload: dict[str, int]
     stock: dict[tuple[str, str], int | None]
     delivered: dict[str, dict[str, int]]
+    free_at: int
+    last_start: int
+    last_travel: int | None = None
 
 
-def start_run(world: WorldModel, location: str, docked: bool) -> RunState:
-    """How every run starts: the arm empty-handed at `location`, and a copy
-    of the world's stock. It is docked, and so charging, only if `docked`
-    and `location` is the world's charging room."""
+def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> RunState:
+    """How every run starts: the arm empty-handed at `location` at `clock`,
+    and a copy of the world's stock. It is docked, and so charging, only if
+    `docked` and `location` is the world's charging room."""
     docked = docked and location == world.charging_room
-    return RunState(location, docked, docked, {}, dict(world.initial_stock), {})
+    return RunState(location, docked, docked, {}, dict(world.initial_stock), {}, clock, clock)
 
 
-def check(run: RunState, world: WorldModel, index: int, action: Action) -> list[Violation]:
-    """Each problem the plan's `index`-th action would hit; nothing changes.
+def check(
+    run: RunState, world: WorldModel, index: int, timed: TimedAction, durations: DurationModel
+) -> tuple[list[Violation], int]:
+    """Each problem the plan's `index`-th action would hit, and its completion;
+    nothing changes.
 
-    The caller puts the arm in the action's room (`required_room`) first."""
-    kind, room, problems = type(action), run.location, []
-    if kind is Pick or kind is Fill:
-        item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
-        left = run.stock[(room, item)]
-        if left is not None and left < qty:
-            problems.append(violation("ItemUnavailable", item=item, room=room))
-        if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
-            problems.append(violation("CapacityExceeded", index=index))
-    elif kind is Deliver:
-        wanted: dict[str, int] = {}
-        for item, qty in action.items:
-            wanted[item] = wanted.get(item, 0) + qty
-        problems.extend(
-            violation("ItemUnavailable", item=item, room=room)
-            for item, qty in wanted.items()
-            if run.payload.get(item, 0) < qty
-        )
-    elif kind is Charge and not run.docked:
-        problems.append(violation("ItemUnavailable", item="charging_port", room=room))
-    return problems
+    In order: its timing against the run's, the room it needs (`required_room`),
+    the world rules in that room, and `TimeWraparound` on the run's first
+    completion past midnight. Unknown rooms or items raise WorldError."""
+    t, action = timed.start, timed.action
+    kind, problems = type(action), []
+    if t < run.last_start:
+        problems.append(violation("Chronology", index=index))
+    elif t < run.free_at:
+        if run.last_travel is not None:
+            problems.append(violation(
+                "TravelInfeasible", index=index - 1, needed=run.last_travel,
+                available=t - run.last_start,
+            ))
+        else:
+            problems.append(violation("Chronology", index=index))
+
+    room = run.location
+    if kind is Move:
+        minutes = travel_time(world, room, action.dest)
+    elif kind is Wait:
+        minutes = action.minutes
+    else:  # every other action needs a room
+        needs = required_room(action, world)
+        if needs != room:
+            needed = travel_time(world, room, needs)
+            available = max(0, t - run.free_at)
+            problems.append(
+                violation("TravelInfeasible", index=index, needed=needed, available=available)
+            )
+            room = needs
+        if kind is Pick or kind is Fill:
+            item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
+            left = run.stock[(room, item)]
+            if left is not None and left < qty:
+                problems.append(violation("ItemUnavailable", item=item, room=room))
+            if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
+                problems.append(violation("CapacityExceeded", index=index))
+            minutes = durations.pick_min if kind is Pick else durations.fill_min
+        elif kind is Deliver:
+            wanted: dict[str, int] = {}
+            for item, qty in action.items:
+                wanted[item] = wanted.get(item, 0) + qty
+            problems.extend(
+                violation("ItemUnavailable", item=item, room=room)
+                for item, qty in wanted.items()
+                if run.payload.get(item, 0) < qty
+            )
+            minutes = durations.deliver_min
+        elif kind is Dock:
+            minutes = durations.dock_min
+        else:  # Charge
+            if not run.docked:
+                problems.append(violation("ItemUnavailable", item="charging_port", room=room))
+            minutes = 0  # charging takes no time
+
+    completion = t + minutes
+    if completion >= MINUTES_PER_DAY > run.free_at:
+        problems.append(violation("TimeWraparound"))
+    return problems, completion
 
 
-def apply(run: RunState, world: WorldModel, action: Action, durations: DurationModel) -> int:
-    """Carry `action` out on `run` as far as it can go; return its minutes.
+def apply(run: RunState, timed: TimedAction, completion: int) -> None:
+    """Carry the action out on `run` as far as it can go, ending at `completion`.
 
     Pick, Fill and Deliver go ahead on short stock or payload, so that the
-    validator can keep scanning; run `check` first to keep a step atomic."""
+    validator can keep scanning; a step is atomic only if `check` found no
+    problem."""
+    t, action = timed.start, timed.action
     kind = type(action)
     if kind is Move:
-        minutes = travel_time(world, run.location, action.dest)
         run.location, run.docked, run.charging = action.dest, False, False
-        return minutes
-    if kind is Pick or kind is Fill:
+    elif kind is Pick or kind is Fill:
         item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
         left = run.stock[(run.location, item)]
         if left is not None and left >= qty:
             run.stock[(run.location, item)] = left - qty
         run.payload[item] = run.payload.get(item, 0) + qty
-        return durations.pick_min if kind is Pick else durations.fill_min
-    if kind is Deliver:
+    elif kind is Deliver:
         dropped = run.delivered.setdefault(run.location, {})
         for item, qty in action.items:
             have = run.payload.pop(item, 0)
             if have > qty:
                 run.payload[item] = have - qty
             dropped[item] = dropped.get(item, 0) + min(have, qty)
-        return durations.deliver_min
-    if kind is Dock:
+    elif kind is Dock:
         run.docked = True
-        return durations.dock_min
-    if kind is Charge:
+    elif kind is Charge:
         run.charging = True
-        return 0  # charging takes no time
-    return action.minutes  # Wait
+    run.last_start, run.last_travel = t, completion - t if kind is Move else None
+    run.free_at = max(run.free_at, completion)
 
 
 def validate(
@@ -214,62 +258,35 @@ def validate(
 ) -> ValidationResult:
     """Check the whole plan and return either its schedule or every violation.
 
-    Checks, in order: chronology (including travel gaps after moves),
-    location continuity, the world rules of `check`, goal coverage, the
-    deadline window, and ending docked and charging. The plan should be
-    canonical (run `normalize` first); unknown rooms or items raise
-    WorldError since they indicate a non-normalized plan.
+    Reports each action's `check` problems, then goal coverage, the
+    deadline window, and ending docked and charging. After an action with
+    problems the scan goes on from the room that action needs. The plan
+    should be canonical (run `normalize` first); unknown rooms or items
+    raise WorldError since they indicate a non-normalized plan.
     """
     start_room, clock = start
     violations: list[Violation] = []
     schedule: list[ScheduledAction] = []
-    run = start_run(world, start_room, start_docked)
-    wrapped = False
+    run = start_run(world, start_room, start_docked, clock)
     goal_items = {item for item, _ in goal.deliveries}
     delivered_at = None  # completion of the last delivery of a goal item there
 
-    prev_start = prev_completion = clock
-    prev_travel = None  # travel minutes when previous action was a Move
-
     for i, ta in enumerate(plan.actions):
-        t, action = ta.start, ta.action
-        kind = type(action)
-        if t < prev_start:
-            violations.append(violation("Chronology", index=i))
-        elif t < prev_completion:
-            if prev_travel is not None:
-                violations.append(violation(
-                    "TravelInfeasible", index=i - 1, needed=prev_travel, available=t - prev_start
-                ))
-            else:
-                violations.append(violation("Chronology", index=i))
-
-        if kind is not Move:
+        action = ta.action
+        problems, completion = check(run, world, i, ta, durations)
+        if problems:
+            violations.extend(problems)
             room = required_room(action, world)
-            if room is not None and room != run.location:
-                needed = travel_time(world, run.location, room)
-                available = max(0, t - prev_completion)
-                violations.append(
-                    violation("TravelInfeasible", index=i, needed=needed, available=available)
-                )
+            if room is not None:
                 run.location = room  # keep scanning from where the action assumes
-            violations.extend(check(run, world, i, action))
-        duration = apply(run, world, action, durations)
-        prev_travel = duration if kind is Move else None
-
-        completion = t + duration
-        if completion >= MINUTES_PER_DAY and not wrapped:
-            violations.append(violation("TimeWraparound"))
-            wrapped = True
+        apply(run, ta, completion)
         if (
-            kind is Deliver
+            type(action) is Deliver
             and action.dest == goal.destination
             and any(item in goal_items for item, _ in action.items)
         ):
             delivered_at = completion
         schedule.append(ScheduledAction(ta, completion))
-        prev_start = t
-        prev_completion = max(prev_completion, completion)
 
     missing = []
     for item, qty in goal.deliveries:

@@ -14,7 +14,7 @@ from aptbot.plan import (
 )
 from aptbot.simulator import COMPLETED, FAULT, Event, execute, render_event_log
 from aptbot.validator import DurationModel, Goal, validate
-from aptbot.world import ZArmState, default_world, world_from_config
+from aptbot.world import WorldError, ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 from test_acceptance import _random_plan
 
@@ -87,8 +87,7 @@ def test_final_charging_comes_from_the_run(world):
 def test_fault_on_action_in_the_past(world):
     log = _run("[9:50pm] Move to the kitchen", world)
     assert log.outcome == FAULT
-    assert log.events[-1].kind == "fault"
-    assert "past" in log.events[-1].detail
+    assert [e.line() for e in log.events] == ["9:54pm fault VIOLATION Chronology index=0"]
 
 
 def test_fault_on_exhausted_stock():
@@ -103,7 +102,7 @@ def test_fault_on_exhausted_stock():
 def test_fault_on_item_absent_in_room(world):
     log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Pick 1 aspirin", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "not in storeroom"
+    assert log.events[-1].detail == "VIOLATION TravelInfeasible index=1 needed=2 available=0"
 
 
 def test_fault_on_capacity_breach(world):
@@ -155,18 +154,32 @@ def test_fault_on_charge_while_undocked(world):
 def test_fault_on_dock_away_from_port(world):
     log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Dock", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "not in living_room"
+    assert log.events[-1].detail == "VIOLATION TravelInfeasible index=1 needed=2 available=0"
 
 
 def test_fault_when_plan_runs_past_midnight(world):
     log = _run("[11:58pm] Wait 5 minutes", world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "plan runs past midnight"
+    assert [e.line() for e in log.events] == ["11:58pm fault VIOLATION TimeWraparound"]
+
+
+def test_action_ending_past_midnight_faults_before_it_changes_anything():
+    world = world_from_config({"clock_start": "11:50pm"})
+    text = (
+        "[11:50pm] Move to the storeroom\n"
+        "[11:52pm] Pick 1 aspirin\n"
+        "[11:53pm] Move to the living room\n"
+        "[11:59pm] Deliver 1 aspirin to the living room"
+    )
+    log = _run(text, world)
+    assert log.events[-1].line() == "11:59pm fault VIOLATION TimeWraparound"
+    assert log.delivered == {}
+    assert log.final_state.payload == {"aspirin": 1}
 
 
 def test_move_past_midnight_faults_before_leaving(world):
     log = _run_raw("[11:59pm] Move to the kitchen", world)
-    assert [e.line() for e in log.events] == ["11:59pm fault plan runs past midnight"]
+    assert [e.line() for e in log.events] == ["11:59pm fault VIOLATION TimeWraparound"]
     assert log.final_state.location == "living_room"
     assert log.final_state.docked
 
@@ -305,12 +318,13 @@ def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
     assert perturbed > 100 and rejected > 100, (perturbed, accepted, rejected)
 
 
-# Every fault detail: a rule's VIOLATION line, or one of the simulator's own texts.
+# Every fault detail: a per-action VIOLATION line, or the text of a WorldError.
 _FAULT_DETAIL = re.compile(
-    r"VIOLATION (?:ItemUnavailable item=\w+ room=\w+|CapacityExceeded index=\d+)"
-    r"|action at \d{1,2}:\d\d[ap]m is already in the past"
-    r"|plan runs past midnight"
-    rf"|not in (?:{'|'.join(default_world().rooms)})"
+    r"VIOLATION (?:Chronology index=\d+"
+    r"|TravelInfeasible index=\d+ needed=\d+ available=\d+"
+    r"|ItemUnavailable item=\w+ room=\w+"
+    r"|CapacityExceeded index=\d+"
+    r"|TimeWraparound)"
     r"|unknown (?:room|item) '\w+'"
 )
 
@@ -334,23 +348,39 @@ def test_execute_never_raises_on_random_plans():
     assert outcomes == {COMPLETED, FAULT}
 
 
-def test_a_rule_fault_is_a_line_the_validator_reports():
-    rng = random.Random(7)
-    world = world_from_config({"clock_start": "12:00am"})  # few actions start in the past
+# Violations of the whole plan, which no single step can hit.
+_END_KINDS = {"GoalUnmet", "DeadlineMissed", "NotDockedAtEnd", "NotChargingAtEnd"}
+
+
+def test_execute_faults_with_the_validators_first_violation():
+    rng = random.Random(11)
+    worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
     goal = Goal((("aspirin", 1),), "living_room", parse_clock("10:30pm"))
-    faults = 0
+    seen = {"completed": 0, "faulted": 0, "world_error": 0}
     for _ in range(4000):
-        room = rng.choice(world.rooms)
+        world = rng.choice(worlds)
+        room = rng.choice([*world.rooms, "garage"])  # one room the world lacks
         docked = rng.random() < 0.5
-        try:
-            plan = normalize(_random_plan(rng), world, room)
-        except NormalizeError:
-            continue
+        plan = _random_plan(rng)
+        if rng.random() < 0.5:
+            try:
+                plan = normalize(plan, world, room)
+            except NormalizeError:
+                continue
         log = execute(plan, world, ZArmState(room, docked=docked), DurationModel())
-        detail = log.events[-1].detail if log.outcome == FAULT else ""
-        if detail.startswith("VIOLATION"):
-            faults += 1
-            start = (room, world.clock_start)
+        start = (room, world.clock_start)
+        try:
             result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
-            assert detail in [v.machine_line() for v in result.violations], serialize_plan(plan)
-    assert faults > 1000
+        except WorldError:
+            assert log.outcome == FAULT, serialize_plan(plan)
+            seen["world_error"] += 1
+            continue
+        steps = [v.machine_line() for v in result.violations if v.kind not in _END_KINDS]
+        if steps:
+            assert log.outcome == FAULT, serialize_plan(plan)
+            assert log.events[-1].detail == steps[0], serialize_plan(plan)
+            seen["faulted"] += 1
+        else:
+            assert log.outcome == COMPLETED, (serialize_plan(plan), log.events[-1].line())
+            seen["completed"] += 1
+    assert min(seen.values()) > 300, seen
