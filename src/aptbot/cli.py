@@ -150,15 +150,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         world, config = default_world(), AgentConfig()
     goal = parse_goal_slots(args.goal, tolerance=config.tolerance)
     text = Path(args.planfile).read_text(encoding="utf-8")
-    plan = normalize(parse_plan(text), world, world.charging_room)
-    result = validate(
-        plan,
-        world,
-        goal,
-        config.durations,
-        start=(world.charging_room, world.clock_start),
-        start_docked=True,
-    )
+    arm = fresh_arm(world)
+    plan = normalize(parse_plan(text), world, arm.location)
+    start = (arm.location, world.clock_start)
+    result = validate(plan, world, goal, config.durations, start, start_docked=arm.docked)
     if not result.ok:
         for violation in result.violations:
             print(violation.machine_line())

@@ -38,14 +38,15 @@ def _build(
     room, clock = start
     actions: list[TimedAction] = []
     current, t = room, clock
+    docked = start_docked and room == world.charging_room  # as `start_run`, until a Move
 
     def move_to(dest: str) -> None:
-        nonlocal current, t
+        nonlocal current, t, docked
         if dest == current:
             return
         actions.append(TimedAction(t, Move(dest)))
         t += travel_time(world, current, dest)
-        current = dest
+        current, docked = dest, False
 
     for wp_room, item, qty, kind in order:
         move_to(wp_room)
@@ -64,7 +65,7 @@ def _build(
         t += durations.deliver_min
         delivery_completion = t
 
-    if not (start_docked and not actions and current == world.charging_room):
+    if not docked:
         move_to(world.charging_room)
         actions.append(TimedAction(t, Dock()))
         t += durations.dock_min

@@ -128,7 +128,8 @@ class RunState:
     """What a run changes. `stock` maps (room, item) to the quantity left
     there, None for unbounded; `delivered` maps room -> item -> quantity.
     `free_at` is the latest completion so far, `last_start` the previous
-    action's start, and `last_travel` its minutes when it was a Move."""
+    action's start, and `arrival` when that action put the arm in its room:
+    its completion after a Move, else its start."""
 
     location: str
     docked: bool
@@ -138,7 +139,7 @@ class RunState:
     delivered: dict[str, dict[str, int]]
     free_at: int
     last_start: int
-    last_travel: int | None = None
+    arrival: int
 
 
 def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> RunState:
@@ -146,7 +147,8 @@ def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> Run
     and a copy of the world's stock. It is docked, and so charging, only if
     `docked` and `location` is the world's charging room."""
     docked = docked and location == world.charging_room
-    return RunState(location, docked, docked, {}, dict(world.initial_stock), {}, clock, clock)
+    stock = dict(world.initial_stock)
+    return RunState(location, docked, docked, {}, stock, {}, clock, clock, clock)
 
 
 def check(
@@ -157,19 +159,18 @@ def check(
 
     In order: its timing against the run's, the room it needs (`required_room`),
     the world rules in that room, and `TimeWraparound` on the run's first
-    completion past midnight. Unknown rooms or items raise WorldError."""
+    completion past midnight. An action started while the previous Move is
+    under way blames that Move, any other early start is this action's
+    `Chronology`. Unknown rooms or items raise WorldError."""
     t, action = timed.start, timed.action
     kind, problems = type(action), []
-    if t < run.last_start:
-        problems.append(violation("Chronology", index=index))
+    if run.last_start <= t < run.arrival:
+        problems.append(violation(
+            "TravelInfeasible", index=index - 1, needed=run.arrival - run.last_start,
+            available=t - run.last_start,
+        ))
     elif t < run.free_at:
-        if run.last_travel is not None:
-            problems.append(violation(
-                "TravelInfeasible", index=index - 1, needed=run.last_travel,
-                available=t - run.last_start,
-            ))
-        else:
-            problems.append(violation("Chronology", index=index))
+        problems.append(violation("Chronology", index=index))
 
     room = run.location
     if kind is Move:
@@ -243,7 +244,7 @@ def apply(run: RunState, timed: TimedAction, completion: int) -> None:
         run.docked = True
     elif kind is Charge:
         run.charging = True
-    run.last_start, run.last_travel = t, completion - t if kind is Move else None
+    run.last_start, run.arrival = t, completion if kind is Move else t
     run.free_at = max(run.free_at, completion)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from aptbot.clock import parse_clock
 from aptbot.validator import Goal
-from aptbot.world import default_world
+from aptbot.world import default_world, world_from_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIO_PATH = Path(__file__).parent.parent / "scenarios" / "medication.scenario"
@@ -49,6 +49,21 @@ CANONICAL_PLAN = """[9:56pm] Move to the storeroom
 [10:04pm] Deliver 2 aspirin and 1 water to the living room
 [10:05pm] Dock at the charging port
 [10:07pm] Start charging"""
+
+
+def small_world():
+    """Three rooms whose travel breaks the triangle inequality, with the port
+    and unbounded water in `hall`, one aspirin in `store`, and capacity 1."""
+    return world_from_config({
+        "rooms": ["hall", "kitchen", "store"],
+        "travel": {"hall,kitchen": 1, "kitchen,store": 5, "hall,store": 2},
+        "facilities": [
+            {"kind": "charging_port", "location": "hall"},
+            {"kind": "water_cooler", "location": "hall", "stock": {"water": None}},
+            {"kind": "medicine_box", "location": "store", "stock": {"aspirin": 1}},
+        ],
+        "capacity": 1,
+    })
 
 
 @pytest.fixture

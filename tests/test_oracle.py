@@ -4,11 +4,11 @@ import pytest
 
 from aptbot.clock import parse_clock
 from aptbot.oracle import enumerate_feasible, plan_oracle
-from aptbot.plan import Charge, Deliver, Dock, serialize_plan
+from aptbot.plan import Charge, Deliver, Dock, Fill, serialize_plan
 from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
 from aptbot.world import ZArmState, default_world, world_from_config
-from conftest import CANONICAL_PLAN
+from conftest import CANONICAL_PLAN, small_world
 
 START = ("living_room", parse_clock("9:56pm"))
 
@@ -96,6 +96,16 @@ def test_dock_tail_present_by_default(world):
     best = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
     kinds = [type(t.action) for t in best.actions]
     assert kinds[-2:] == [Dock, Charge]
+
+
+def test_no_dock_tail_when_no_move_undocks_the_arm():
+    # Water and the port share the hall, so the arm never leaves its dock.
+    world = small_world()
+    start = ("hall", world.clock_start)
+    goal = Goal((("water", 1),), "hall", world.clock_start + 2)
+    best = plan_oracle(world, goal, DurationModel(), start, start_docked=True)
+    assert [type(t.action) for t in best.actions] == [Fill, Deliver]
+    assert validate(best, world, goal, DurationModel(), start, start_docked=True).ok
 
 
 def test_waypoint_cap_is_enforced(world):

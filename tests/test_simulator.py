@@ -362,7 +362,8 @@ def test_execute_faults_with_the_validators_first_violation():
         room = rng.choice([*world.rooms, "garage"])  # one room the world lacks
         docked = rng.random() < 0.5
         plan = _random_plan(rng)
-        if rng.random() < 0.5:
+        normalized = rng.random() < 0.5
+        if normalized:
             try:
                 plan = normalize(plan, world, room)
             except NormalizeError:
@@ -375,6 +376,13 @@ def test_execute_faults_with_the_validators_first_violation():
             assert log.outcome == FAULT, serialize_plan(plan)
             seen["world_error"] += 1
             continue
+        if normalized:  # what the model is sent back: each line true, naming one of its actions
+            for v in result.violations:
+                fields = dict(v.fields)
+                if "index" in fields:
+                    assert 0 <= fields["index"] < len(plan.actions), v.machine_line()
+                if v.kind == "TravelInfeasible":
+                    assert fields["needed"] > fields["available"], v.machine_line()
         steps = [v.machine_line() for v in result.violations if v.kind not in _END_KINDS]
         if steps:
             assert log.outcome == FAULT, serialize_plan(plan)

@@ -48,6 +48,18 @@ def test_travel_infeasible_reports_needed_and_available(world):
     ]
 
 
+def test_action_after_the_move_arrives_is_its_own_chronology(world, medication_goal):
+    # The Move had its 2 minutes; the Pick overlaps the Wait, not the Move.
+    text = "[10:00pm] Wait 10 minutes\n[10:01pm] Move to the storeroom\n[10:03pm] Pick 2 aspirin"
+    result = _validate(text, world, medication_goal)
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION Chronology index=1",
+        "VIOLATION Chronology index=2",
+        "VIOLATION GoalUnmet missing=aspirin:2,water:1",
+        "VIOLATION NotDockedAtEnd",
+    ]
+
+
 def test_action_before_clock_start_is_chronology(world):
     goal = Goal((), "living_room", parse_clock("10:00pm"))
     result = _validate("[9:53pm] Wait 1 minute", world, goal)
