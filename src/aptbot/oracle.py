@@ -13,7 +13,7 @@ from itertools import permutations
 
 from .clock import MINUTES_PER_DAY
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
-from .validator import DurationModel, Goal, goal_waypoints
+from .validator import DurationModel, Goal, goal_waypoints, start_run
 from .world import WorldModel, travel_time
 
 MAX_WAYPOINTS = 8
@@ -25,7 +25,7 @@ def _build(
     durations: DurationModel,
     start: tuple[str, int],
     order: tuple[tuple[str, str, int, str], ...],
-    start_docked: bool,
+    docked: bool,
 ) -> tuple[ActionPlan, int | None, int] | None:
     """Earliest-feasible chain for one waypoint order, shifted toward the target.
 
@@ -38,7 +38,6 @@ def _build(
     room, clock = start
     actions: list[TimedAction] = []
     current, t = room, clock
-    docked = start_docked and room == world.charging_room  # as `start_run`, until a Move
 
     def move_to(dest: str) -> None:
         nonlocal current, t, docked
@@ -99,9 +98,10 @@ def _candidates(
     kinds = len({item for _, item, _, _ in waypoints})
     if kinds > world.capacity:  # one trip carries every item to the destination
         raise ValueError(f"goal needs {kinds} item kinds at once, capacity is {world.capacity}")
+    docked = start_run(world, start[0], start_docked, start[1]).docked
     out = []
     for order in dict.fromkeys(permutations(waypoints)):  # each distinct order once
-        built = _build(world, goal, durations, start, order, start_docked)
+        built = _build(world, goal, durations, start, order, docked)
         if built is None:
             continue
         plan, delivery, completion = built

@@ -1,15 +1,17 @@
-"""Deterministic discrete-event execution of a validated plan.
+"""Deterministic discrete-event execution of a normalized plan.
 
 The simulator trusts plan timestamps: gaps between completion and the next
 start are idle waiting. Each step is the validator's (`check`, then
 `apply`), so timing, rooms, travel and the world rules have one definition.
 The first problem halts the run with an in-band `fault` event, before that
 action changes anything: the validator's first `VIOLATION` line for it, or
-the `WorldError` text of an unknown room or item. No plan makes `execute`
-raise: transcripts stay replayable and the agent loop can feed the fault
-back to the model. A run starts as the validator's does (`start_run`), and
-the log's `final_state` is that run's `RunState` as it ended. Inputs are
-never mutated.
+the `WorldError` text of an unknown room or item or of an action away from
+the room it needs (a plan that was not normalized). A fault is stamped at
+the action's start, or later if the run is still busy, and never past
+11:59pm. No plan makes `execute` raise: transcripts stay replayable and the
+agent loop can feed the fault back to the model. A run starts as the
+validator's does (`start_run`), and the log's `final_state` is that run's
+`RunState` as it ended. Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -61,19 +63,17 @@ def execute(
     `validate` would start it, until it completes or faults."""
     run = start_run(world, arm.location, arm.docked, world.clock_start)
     events: list[Event] = []
-
-    def fault(time: int, reason: str) -> EventLog:
-        events.append(Event(min(time, MINUTES_PER_DAY - 1), FAULT, reason))
-        return EventLog(events, run, FAULT, run.delivered)
-
     for i, ta in enumerate(plan.actions):
         t, action = ta.start, ta.action
         try:
             problems, completion = check(run, world, i, ta, durations)
+            reason = problems[0].machine_line() if problems else None
         except WorldError as exc:
-            return fault(t, str(exc))
-        if problems:
-            return fault(max(t, run.free_at), problems[0].machine_line())
+            reason = str(exc)
+        if reason is not None:
+            time = min(max(t, run.free_at), MINUTES_PER_DAY - 1)
+            events.append(Event(time, FAULT, reason))
+            return EventLog(events, run, FAULT, run.delivered)
         kind = type(action)
         if kind is Move:
             events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))

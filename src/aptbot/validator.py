@@ -1,16 +1,17 @@
-"""Static feasibility checking of a canonical plan, and the world rules.
+"""Static feasibility checking of a normalized plan, and the world rules.
 
 A timestamp is the action's start; completion = start + duration. The
 world rules (a run's start, timing, stock, payload, capacity, delivery,
 docking and charging) live here once: `start_run` starts a run, `check`
 finds every problem one action would hit and its completion, and `apply`
-carries it out. The simulator runs the same three; the room an action
-needs comes from `plan.required_room`, as in `normalize`. The validator
-walks the whole plan once and reports every violation it finds, never just
-the first, as stable `VIOLATION <kind> <fields>` lines the agent can feed
-back. The simulator faults with the first of them, so a problem has one
-wording. The deadline is checked inside that walk: it notes when the goal
-delivery completes.
+carries it out. The simulator runs the same three. Getting the arm to the
+room an action needs (`plan.required_room`) is `normalize`'s job, so a plan
+with an action elsewhere, or an unknown room or item, raises WorldError
+here: it was not normalized. The validator walks the whole plan once and
+reports every violation it finds, never just the first, as stable
+`VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
+faults with the first of them, so a problem has one wording. The deadline
+is checked inside that walk: it notes when the goal delivery completes.
 """
 
 from __future__ import annotations
@@ -125,11 +126,12 @@ class ValidationResult:
 
 @dataclass(slots=True)
 class RunState:
-    """What a run changes. `stock` maps (room, item) to the quantity left
-    there, None for unbounded; `delivered` maps room -> item -> quantity.
-    `free_at` is the latest completion so far, `last_start` the previous
-    action's start, and `arrival` when that action put the arm in its room:
-    its completion after a Move, else its start."""
+    """What a run changes; only `start_run` and `apply` write it. `stock`
+    maps (room, item) to the quantity left there, None for unbounded;
+    `delivered` maps room -> item -> quantity. `free_at` is the latest
+    completion so far, `last_start` the previous action's start, and
+    `arrival` when that action put the arm in its room: its completion after
+    a Move, else its start."""
 
     location: str
     docked: bool
@@ -157,11 +159,12 @@ def check(
     """Each problem the plan's `index`-th action would hit, and its completion;
     nothing changes.
 
-    In order: its timing against the run's, the room it needs (`required_room`),
-    the world rules in that room, and `TimeWraparound` on the run's first
-    completion past midnight. An action started while the previous Move is
-    under way blames that Move, any other early start is this action's
-    `Chronology`. Unknown rooms or items raise WorldError."""
+    In order: its timing against the run's, the world rules in the arm's
+    room, and `TimeWraparound` on the run's first completion past midnight.
+    An action started while the previous Move is under way blames that Move,
+    any other early start is this action's `Chronology`. An unknown room or
+    item, or an action away from the room it needs (`required_room`), raises
+    WorldError: a normalized plan has none."""
     t, action = timed.start, timed.action
     kind, problems = type(action), []
     if run.last_start <= t < run.arrival:
@@ -180,12 +183,7 @@ def check(
     else:  # every other action needs a room
         needs = required_room(action, world)
         if needs != room:
-            needed = travel_time(world, room, needs)
-            available = max(0, t - run.free_at)
-            problems.append(
-                violation("TravelInfeasible", index=index, needed=needed, available=available)
-            )
-            room = needs
+            raise WorldError(f"action needs room {needs!r}, arm is in {room!r}")
         if kind is Pick or kind is Fill:
             item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
             left = run.stock[(room, item)]
@@ -260,10 +258,9 @@ def validate(
     """Check the whole plan and return either its schedule or every violation.
 
     Reports each action's `check` problems, then goal coverage, the
-    deadline window, and ending docked and charging. After an action with
-    problems the scan goes on from the room that action needs. The plan
-    should be canonical (run `normalize` first); unknown rooms or items
-    raise WorldError since they indicate a non-normalized plan.
+    deadline window, and ending docked and charging. The plan must be
+    normalized from `start`'s room (`normalize`): an unknown room or item,
+    or an action away from the room it needs, raises WorldError.
     """
     start_room, clock = start
     violations: list[Violation] = []
@@ -275,11 +272,7 @@ def validate(
     for i, ta in enumerate(plan.actions):
         action = ta.action
         problems, completion = check(run, world, i, ta, durations)
-        if problems:
-            violations.extend(problems)
-            room = required_room(action, world)
-            if room is not None:
-                run.location = room  # keep scanning from where the action assumes
+        violations.extend(problems)
         apply(run, ta, completion)
         if (
             type(action) is Deliver

@@ -2,10 +2,13 @@ import copy
 import random
 import re
 
+import pytest
+
 from aptbot.clock import parse_clock
 from aptbot.oracle import plan_oracle
 from aptbot.plan import (
     ActionPlan,
+    Move,
     NormalizeError,
     TimedAction,
     normalize,
@@ -42,6 +45,12 @@ def _run(text, world, arm=None):
 
 def _run_raw(text, world):
     return execute(parse_plan(text), world, _arm(), DurationModel())
+
+
+def _validate_raw(text, world):
+    goal = Goal((), "living_room", world.clock_start)
+    start = ("living_room", world.clock_start)
+    return validate(parse_plan(text), world, goal, DurationModel(), start, start_docked=True)
 
 
 def test_canonical_plan_event_log_matches_golden(world):
@@ -100,9 +109,13 @@ def test_fault_on_exhausted_stock():
 
 
 def test_fault_on_item_absent_in_room(world):
-    log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Pick 1 aspirin", world)
+    text = "[9:56pm] Move to the kitchen\n[9:58pm] Pick 1 aspirin"
+    log = _run_raw(text, world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "VIOLATION TravelInfeasible index=1 needed=2 available=0"
+    assert log.events[-1].detail == "action needs room 'storeroom', arm is in 'kitchen'"
+    with pytest.raises(WorldError) as info:
+        _validate_raw(text, world)
+    assert str(info.value) == log.events[-1].detail
 
 
 def test_fault_on_capacity_breach(world):
@@ -135,6 +148,10 @@ def test_fault_on_move_to_unknown_room(world):
     log = _run_raw("[9:56pm] Move to the attic", world)
     assert log.outcome == FAULT
     assert log.events[-1].detail == "unknown room 'attic'"
+    # Stamped when the run is free, as a Chronology fault is, so it renders.
+    plan = ActionPlan((TimedAction(-5, Move("attic")),))
+    log = execute(plan, world, _arm(), DurationModel())
+    assert render_event_log(log) == "9:54pm fault unknown room 'attic'"
 
 
 def test_fault_on_move_from_a_room_the_world_lacks(world):
@@ -152,9 +169,13 @@ def test_fault_on_charge_while_undocked(world):
 
 
 def test_fault_on_dock_away_from_port(world):
-    log = _run_raw("[9:56pm] Move to the kitchen\n[9:58pm] Dock", world)
+    text = "[9:56pm] Move to the kitchen\n[9:58pm] Dock"
+    log = _run_raw(text, world)
     assert log.outcome == FAULT
-    assert log.events[-1].detail == "VIOLATION TravelInfeasible index=1 needed=2 available=0"
+    assert log.events[-1].detail == "action needs room 'living_room', arm is in 'kitchen'"
+    with pytest.raises(WorldError) as info:
+        _validate_raw(text, world)
+    assert str(info.value) == log.events[-1].detail
 
 
 def test_fault_when_plan_runs_past_midnight(world):
@@ -303,15 +324,20 @@ def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
             oracle_plan = plan_oracle(world, goal, DurationModel(), start, start_docked=docked)
         except ValueError:
             continue
+        arm = ZArmState(location=start_room, docked=docked)
         for plan in [oracle_plan] + [_perturb(rng, oracle_plan) for _ in range(4)]:
-            result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
+            log = execute(plan, world, arm, DurationModel())
+            try:
+                result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
+            except WorldError:  # an action away from its room: refused as not normalized
+                assert log.outcome == FAULT, serialize_plan(plan)
+                rejected += 1
+                continue
             if not result.ok:
                 rejected += 1
                 continue
             accepted += 1
             perturbed += plan != oracle_plan
-            arm = ZArmState(location=start_room, docked=docked)
-            log = execute(plan, world, arm, DurationModel())
             assert log.outcome == COMPLETED, (serialize_plan(plan), log.events[-1].line())
             assert log.delivered == result.delivered
             assert log.final_state.docked and log.final_state.charging
@@ -326,6 +352,7 @@ _FAULT_DETAIL = re.compile(
     r"|CapacityExceeded index=\d+"
     r"|TimeWraparound)"
     r"|unknown (?:room|item) '\w+'"
+    r"|action needs room '\w+', arm is in '\w+'"
 )
 
 
@@ -373,16 +400,16 @@ def test_execute_faults_with_the_validators_first_violation():
         try:
             result = validate(plan, world, goal, DurationModel(), start, start_docked=docked)
         except WorldError:
+            assert not normalized, serialize_plan(plan)  # `normalize` leaves nothing to refuse
             assert log.outcome == FAULT, serialize_plan(plan)
             seen["world_error"] += 1
             continue
-        if normalized:  # what the model is sent back: each line true, naming one of its actions
-            for v in result.violations:
-                fields = dict(v.fields)
-                if "index" in fields:
-                    assert 0 <= fields["index"] < len(plan.actions), v.machine_line()
-                if v.kind == "TravelInfeasible":
-                    assert fields["needed"] > fields["available"], v.machine_line()
+        for v in result.violations:  # each line true, naming one of the plan's actions
+            fields = dict(v.fields)
+            if "index" in fields:
+                assert 0 <= fields["index"] < len(plan.actions), v.machine_line()
+            if v.kind == "TravelInfeasible":
+                assert fields["needed"] > fields["available"], v.machine_line()
         steps = [v.machine_line() for v in result.violations if v.kind not in _END_KINDS]
         if steps:
             assert log.outcome == FAULT, serialize_plan(plan)

@@ -178,7 +178,11 @@ def test_unknown_lookups_keep_their_error_type_and_message(world):
     dock = parse_plan("[10:00pm] Dock")
     cases.append((lambda: normalize(dock, world, "x"), NormalizeError, "unknown room 'x'"))
     cases.append(
-        (lambda: validate(dock, world, goal, DurationModel(), ("x", 0)), WorldError, "unknown room 'x'")
+        (
+            lambda: validate(dock, world, goal, DurationModel(), ("x", 0)),
+            WorldError,
+            "action needs room 'living_room', arm is in 'x'",
+        )
     )
     for call, kind, message in cases:
         with pytest.raises(kind) as info:
