@@ -10,7 +10,6 @@ on an unvalidated plan.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .gateway import Backend, ChatMessage, GatewayError, GenerationParams, Session, complete
 from .plan import ActionPlan, NormalizeError, PlanParseError, normalize, parse_plan
@@ -27,6 +26,7 @@ from .prompts import (
     goal_prompt,
     parse_goal_slots,
 )
+from .record import Record
 from .simulator import FAULT, EventLog, execute
 from .validator import (
     DurationModel, Goal, UnachievableGoalError, Violation, goal_waypoints, validate,
@@ -44,16 +44,15 @@ FEEDBACK_PROBLEMS = 20
 FEEDBACK_PROBLEM_CHARS = 200
 
 
-@dataclass(frozen=True)
-class AgentConfig:
-    # Retries beyond the first attempt, so max_retries=3 allows 4 exchanges.
-    max_retries: int = 3
-    durations: DurationModel = field(default_factory=DurationModel)
-    tolerance: int = 5
-    params: GenerationParams = field(default_factory=GenerationParams)
-    token_budget: int = 8192
-
-    def __post_init__(self) -> None:
+class AgentConfig(Record, frozen=True):
+    # `max_retries` counts retries beyond the first attempt, so 3 allows 4 exchanges.
+    __slots__ = ("max_retries", "durations", "tolerance", "params", "token_budget")
+    def __init__(
+        self, max_retries: int = 3, durations: DurationModel = DurationModel(), tolerance: int = 5,
+        params: GenerationParams = GenerationParams(), token_budget: int = 8192,
+    ):
+        self.max_retries, self.durations, self.tolerance = max_retries, durations, tolerance
+        self.params, self.token_budget = params, token_budget
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.tolerance < 0:
@@ -62,15 +61,16 @@ class AgentConfig:
             raise ValueError("token_budget must be positive")
 
 
-@dataclass
-class RequestOutcome:
-    status: str
-    plan: ActionPlan | None = None
-    event_log: EventLog | None = None
-    transcript: list[ChatMessage] = field(default_factory=list)
-    attempts: int = 0
-    error: str | None = None
-    violations: tuple[Violation, ...] = ()
+class RequestOutcome(Record):
+    __slots__ = ("status", "plan", "event_log", "transcript", "attempts", "error", "violations")
+    def __init__(
+        self, status: str, plan: ActionPlan | None = None, event_log: EventLog | None = None,
+        transcript: list[ChatMessage] | None = None, attempts: int = 0, error: str | None = None,
+        violations: tuple[Violation, ...] = (),
+    ):
+        self.status, self.plan, self.event_log = status, plan, event_log
+        self.transcript = [] if transcript is None else transcript
+        self.attempts, self.error, self.violations = attempts, error, violations
 
 
 def _failure_line(failure: Violation | PlanParseError | NormalizeError | str) -> str:

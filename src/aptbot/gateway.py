@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Protocol
+
+from .record import Record
 
 
 class GatewayError(Exception):
@@ -31,22 +32,20 @@ class ScriptExhaustedError(BackendError):
     """A scripted backend received a prompt no remaining entry matches."""
 
 
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
+class ChatMessage(Record, frozen=True):
+    __slots__ = ("role", "content")
+    def __init__(self, role: str, content: str):
+        self.role, self.content = role, content
         if self.role not in ("system", "user", "assistant"):
             raise ValueError(f"unknown chat role: {self.role!r}")
 
 
-@dataclass
-class Session:
+class Session(Record):
     """Conversation state: an optional pinned system message plus turn pairs."""
 
-    pinned: ChatMessage | None = None
-    turns: list[ChatMessage] = field(default_factory=list)
+    __slots__ = ("pinned", "turns")
+    def __init__(self, pinned: ChatMessage | None = None, turns: list[ChatMessage] | None = None):
+        self.pinned, self.turns = pinned, [] if turns is None else turns
 
     def append_pair(self, user_text: str, assistant_text: str) -> None:
         self.turns.append(ChatMessage("user", user_text))
@@ -60,13 +59,13 @@ class Session:
         ]
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    temperature: float = 0.2
-    max_output_tokens: int = 512
-    model_name: str = "gpt-4"
-
-    def __post_init__(self) -> None:
+class GenerationParams(Record, frozen=True):
+    __slots__ = ("temperature", "max_output_tokens", "model_name")
+    def __init__(
+        self, temperature: float = 0.2, max_output_tokens: int = 512, model_name: str = "gpt-4"
+    ):
+        self.temperature, self.max_output_tokens = temperature, max_output_tokens
+        self.model_name = model_name
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature out of range [0, 2]: {self.temperature}")
         if self.max_output_tokens < 1:
@@ -137,17 +136,16 @@ def complete(
     return reply
 
 
-@dataclass
-class ScriptEntry:
+class ScriptEntry(Record):
     """One canned response, matched by exact text, substring, or call index."""
 
-    response: str
-    exact: str | None = None
-    contains: str | None = None
-    step: int | None = None
-    consumed: bool = False
-
-    def __post_init__(self) -> None:
+    __slots__ = ("response", "exact", "contains", "step", "consumed")
+    def __init__(
+        self, response: str, exact: str | None = None, contains: str | None = None,
+        step: int | None = None, consumed: bool = False,
+    ):
+        self.response, self.exact, self.contains = response, exact, contains
+        self.step, self.consumed = step, consumed
         matchers = [m for m in (self.exact, self.contains, self.step) if m is not None]
         if len(matchers) != 1:
             raise ValueError("script entry needs exactly one of exact/contains/step")

@@ -12,9 +12,8 @@ docks rather than moves. The serializer is byte-deterministic;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 from .clock import ClockParseError, parse_clock, format_clock
+from .record import Record
 from .world import WorldError, WorldModel, item_location, travel_time
 
 
@@ -30,56 +29,57 @@ class NormalizeError(ValueError):
     """Raised when implicit moves cannot be inserted."""
 
 
-@dataclass(frozen=True)
-class Move:
-    dest: str
+class Move(Record, frozen=True):
+    __slots__ = ("dest",)
+    def __init__(self, dest: str):
+        self.dest = dest
 
 
-@dataclass(frozen=True)
-class Pick:
-    item: str
-    qty: int
+class Pick(Record, frozen=True):
+    __slots__ = ("item", "qty")
+    def __init__(self, item: str, qty: int):
+        self.item, self.qty = item, qty
 
 
-@dataclass(frozen=True)
-class Fill:
-    container: str
-    source: str
+class Fill(Record, frozen=True):
+    __slots__ = ("container", "source")
+    def __init__(self, container: str, source: str):
+        self.container, self.source = container, source
 
 
-@dataclass(frozen=True)
-class Deliver:
-    items: tuple[tuple[str, int], ...]
-    dest: str
+class Deliver(Record, frozen=True):
+    __slots__ = ("items", "dest")
+    def __init__(self, items: tuple[tuple[str, int], ...], dest: str):
+        self.items, self.dest = items, dest
 
 
-@dataclass(frozen=True)
-class Dock:
-    pass
+class Dock(Record, frozen=True):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Charge:
-    pass
+class Charge(Record, frozen=True):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Wait:
-    minutes: int
+class Wait(Record, frozen=True):
+    __slots__ = ("minutes",)
+    def __init__(self, minutes: int):
+        self.minutes = minutes
 
 
 Action = Move | Pick | Fill | Deliver | Dock | Charge | Wait
 
 
-@dataclass(frozen=True)
-class TimedAction:
-    start: int
-    action: Action
+class TimedAction(Record, frozen=True):
+    __slots__ = ("start", "action")
+    def __init__(self, start: int, action: Action):
+        self.start, self.action = start, action
 
 
-@dataclass(frozen=True)
-class ActionPlan:
-    actions: tuple[TimedAction, ...] = ()
+class ActionPlan(Record, frozen=True):
+    __slots__ = ("actions",)
+    def __init__(self, actions: tuple[TimedAction, ...] = ()):
+        self.actions = actions
 
 
 def room_id(text: str) -> str:
@@ -91,6 +91,9 @@ def room_text(room: str) -> str:
 
 
 _LINE_RE = re.compile(r"^\s*\[([^\]]*)\]\s*(.*)$")
+# Every word "and" in a delivery list is a conjunction, leading, trailing or
+# doubled ones too; they leave empty parts, skipped like those of ", ,".
+_AND_RE = re.compile(r"(?<!\S)and(?!\S)")
 
 _WORD_NUMBERS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
@@ -154,7 +157,7 @@ def _parse_phrase(phrase: str) -> Action:
         items = tuple(
             _parse_qty_item(part)
             for chunk in m.group("items").split(",")
-            for part in chunk.split(" and ")  # `lowered` has single spaces
+            for part in _AND_RE.split(chunk)
             if part.strip()
         )
         if not items:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from .clock import parse_clock, ClockParseError
 from .plan import room_id, room_text
+from .record import Record
 from .validator import Goal
 from .world import WorldModel
 
@@ -187,12 +187,10 @@ def goal_prompt(request: str) -> str:
     return build_few_shot_prompt(GOAL_SLOT_DESCRIPTION, GOAL_SLOT_EXAMPLE, request)
 
 
-@dataclass(frozen=True)
-class TemplateEntry:
-    description: str
-    examples: str
-
-    def __post_init__(self) -> None:
+class TemplateEntry(Record, frozen=True):
+    __slots__ = ("description", "examples")
+    def __init__(self, description: str, examples: str):
+        self.description, self.examples = description, examples
         check_slots(description=self.description, examples=self.examples)
 
 

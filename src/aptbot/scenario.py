@@ -8,12 +8,12 @@ matcher state never leaks between runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import AgentConfig
 from .gateway import GenerationParams, ScriptedBackend
 from .prompts import RequestType, TemplateEntry, check_slots, default_templates
+from .record import Record
 from .validator import DurationModel
 from .world import WorldError, WorldModel, typed, world_from_config
 
@@ -34,13 +34,14 @@ class ScenarioError(ValueError):
     """Malformed scenario file or section."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    world: WorldModel
-    templates: dict[RequestType, TemplateEntry]
-    script: tuple[dict, ...]
-    requests: tuple[str, ...]
-    config: AgentConfig
+class Scenario(Record, frozen=True):
+    __slots__ = ("world", "templates", "script", "requests", "config")
+    def __init__(
+        self, world: WorldModel, templates: dict[RequestType, TemplateEntry],
+        script: tuple[dict, ...], requests: tuple[str, ...], config: AgentConfig,
+    ):
+        self.world, self.templates, self.script = world, templates, script
+        self.requests, self.config = requests, config
 
     def make_backend(self) -> ScriptedBackend:
         """Fresh backend with unconsumed script entries."""
@@ -111,7 +112,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"world section: {exc}") from None
 
     # Type and range errors of the other sections (WorldError from `typed`,
-    # ValueError from the dataclasses they build) all surface here.
+    # ValueError from the records they build) all surface here.
     try:
         requests = typed(raw, "requests", list, [], item=str)
         for request in requests:

@@ -16,10 +16,9 @@ validator's does (`start_run`), and the log's `final_state` is that run's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, items_text
+from .record import Record
 from .validator import DurationModel, RunState, apply, check, start_run
 from .world import WorldError, WorldModel, ZArmState
 
@@ -27,26 +26,27 @@ COMPLETED = "completed"
 FAULT = "fault"
 
 
-@dataclass(slots=True)
-class Event:
-    time: int
-    kind: str
-    detail: str
+class Event(Record):
+    __slots__ = ("time", "kind", "detail")
+    def __init__(self, time: int, kind: str, detail: str):
+        self.time, self.kind, self.detail = time, kind, detail
 
     def line(self) -> str:
         return f"{format_clock(self.time)} {self.kind} {self.detail}".rstrip()
 
 
-@dataclass
-class EventLog:
+class EventLog(Record):
     """The events of one run, the run's own state as it ended, and whether
     it completed. `delivered` is `final_state.delivered`: room -> item ->
     quantity dropped off there."""
 
-    events: list[Event]
-    final_state: RunState
-    outcome: str
-    delivered: dict[str, dict[str, int]]
+    __slots__ = ("events", "final_state", "outcome", "delivered")
+    def __init__(
+        self, events: list[Event], final_state: RunState, outcome: str,
+        delivered: dict[str, dict[str, int]],
+    ):
+        self.events, self.final_state = events, final_state
+        self.outcome, self.delivered = outcome, delivered
 
 
 def render_event_log(log: EventLog) -> str:

@@ -16,8 +16,6 @@ is checked inside that walk: it notes when the goal delivery completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
     ActionPlan,
@@ -31,30 +29,30 @@ from .plan import (
     Wait,
     required_room,
 )
+from .record import Record
 from .world import WorldError, WorldModel, item_location, travel_time
 
 
-@dataclass(frozen=True)
-class DurationModel:
-    pick_min: int = 1
-    fill_min: int = 1
-    deliver_min: int = 1
-    dock_min: int = 2
-
-    def __post_init__(self) -> None:
-        for name in ("pick_min", "fill_min", "deliver_min", "dock_min"):
+class DurationModel(Record, frozen=True):
+    __slots__ = ("pick_min", "fill_min", "deliver_min", "dock_min")
+    def __init__(
+        self, pick_min: int = 1, fill_min: int = 1, deliver_min: int = 1, dock_min: int = 2
+    ):
+        self.pick_min, self.fill_min = pick_min, fill_min
+        self.deliver_min, self.dock_min = deliver_min, dock_min
+        for name in self.__slots__:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class Goal:
-    deliveries: tuple[tuple[str, int], ...]
-    destination: str
-    target_time: int
-    tolerance: int = 5
-
-    def __post_init__(self) -> None:
+class Goal(Record, frozen=True):
+    __slots__ = ("deliveries", "destination", "target_time", "tolerance")
+    def __init__(
+        self, deliveries: tuple[tuple[str, int], ...], destination: str, target_time: int,
+        tolerance: int = 5,
+    ):
+        self.deliveries, self.destination = deliveries, destination
+        self.target_time, self.tolerance = target_time, tolerance
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
         for _, qty in self.deliveries:
@@ -92,10 +90,10 @@ def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, s
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    fields: tuple[tuple[str, object], ...] = ()
+class Violation(Record, frozen=True):
+    __slots__ = ("kind", "fields")
+    def __init__(self, kind: str, fields: tuple[tuple[str, object], ...] = ()):
+        self.kind, self.fields = kind, fields
 
     def machine_line(self) -> str:
         parts = [f"{k}={v}" for k, v in self.fields]
@@ -107,25 +105,27 @@ def violation(kind: str, **fields: object) -> Violation:
     return Violation(kind, tuple(fields.items()))
 
 
-@dataclass(slots=True)
-class ScheduledAction:
-    timed: TimedAction
-    completion: int
+class ScheduledAction(Record):
+    __slots__ = ("timed", "completion")
+    def __init__(self, timed: TimedAction, completion: int):
+        self.timed, self.completion = timed, completion
 
 
-@dataclass
-class ValidationResult:
-    schedule: list[ScheduledAction] | None
-    violations: list[Violation] = field(default_factory=list)
-    delivered: dict[str, dict[str, int]] = field(default_factory=dict)
+class ValidationResult(Record):
+    __slots__ = ("schedule", "violations", "delivered")
+    def __init__(
+        self, schedule: list[ScheduledAction] | None, violations: list[Violation] | None = None,
+        delivered: dict[str, dict[str, int]] | None = None,
+    ):
+        self.schedule, self.violations = schedule, [] if violations is None else violations
+        self.delivered = {} if delivered is None else delivered
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(slots=True)
-class RunState:
+class RunState(Record):
     """What a run changes; only `start_run` and `apply` write it. `stock`
     maps (room, item) to the quantity left there, None for unbounded;
     `delivered` maps room -> item -> quantity. `free_at` is the latest
@@ -133,15 +133,18 @@ class RunState:
     `arrival` when that action put the arm in its room: its completion after
     a Move, else its start."""
 
-    location: str
-    docked: bool
-    charging: bool
-    payload: dict[str, int]
-    stock: dict[tuple[str, str], int | None]
-    delivered: dict[str, dict[str, int]]
-    free_at: int
-    last_start: int
-    arrival: int
+    __slots__ = (
+        "location", "docked", "charging", "payload", "stock", "delivered",
+        "free_at", "last_start", "arrival",
+    )
+    def __init__(
+        self, location: str, docked: bool, charging: bool, payload: dict[str, int],
+        stock: dict[tuple[str, str], int | None], delivered: dict[str, dict[str, int]],
+        free_at: int, last_start: int, arrival: int,
+    ):
+        self.location, self.docked, self.charging = location, docked, charging
+        self.payload, self.stock, self.delivered = payload, stock, delivered
+        self.free_at, self.last_start, self.arrival = free_at, last_start, arrival
 
 
 def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> RunState:

@@ -1,18 +1,18 @@
 """Apartment model: rooms, travel times, facilities, the z-arm, and sensors.
 
 Single source of truth shared by the validator, the simulator, and the
-oracle planner. Worlds are immutable and stock each item in one facility
-only; a run copies the stock into its own `validator.RunState`. A world
-derives its lookup tables (item -> facility, the charging room, the initial
-(room, item) -> stock map) once, at construction, so its dicts, and those
-of its facilities, must not be mutated afterwards.
+oracle planner. Worlds are treated as immutable, which nothing enforces at
+run time, and stock each item in one facility only; a run copies the stock
+into its own `validator.RunState`. A world derives its lookup tables (item
+-> facility, the charging room, the initial (room, item) -> stock map) once,
+at construction, so its dicts, and those of its facilities, must not be
+mutated afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .clock import MINUTES_PER_DAY, ClockParseError, format_clock, parse_clock
+from .record import Record
 
 # Sentinel stock quantity for items that never run out (tap water).
 UNBOUNDED = None
@@ -30,12 +30,12 @@ class WorldError(ValueError):
     """Raised for inconsistent world configuration or unknown lookups."""
 
 
-@dataclass(frozen=True)
-class Facility:
-    kind: str
-    location: str
-    # item name -> quantity; None means unbounded
-    stock: dict[str, int | None] = field(default_factory=dict)
+class Facility(Record, frozen=True):
+    __slots__ = ("kind", "location", "stock")
+    def __init__(self, kind: str, location: str, stock: dict[str, int | None] | None = None):
+        self.kind, self.location = kind, location
+        # item name -> quantity; None means unbounded
+        self.stock = {} if stock is None else stock
 
 
 DEFAULT_FACILITIES = (
@@ -45,23 +45,21 @@ DEFAULT_FACILITIES = (
 )
 
 
-@dataclass(frozen=True)
-class WorldModel:
-    rooms: tuple[str, ...]
-    # (from_room, to_room) -> minutes; exactly the room pairs
-    travel: dict[tuple[str, str], int]
-    facilities: tuple[Facility, ...]
-    clock_start: int
-    capacity: int = DEFAULT_CAPACITY
-    # Derived from the fields above in __post_init__.
-    facility_of: dict[str, Facility] = field(init=False, repr=False, compare=False)
-    charging_room: str = field(init=False, repr=False, compare=False)
-    # (room, item) -> quantity at the start of every run; None means unbounded
-    initial_stock: dict[tuple[str, str], int | None] = field(
-        init=False, repr=False, compare=False
+class WorldModel(
+    Record, frozen=True, fields=("rooms", "travel", "facilities", "clock_start", "capacity")
+):
+    # `travel` maps (from_room, to_room) to minutes for exactly the room pairs.
+    # The last three slots are derived from the fields at construction.
+    __slots__ = (
+        "rooms", "travel", "facilities", "clock_start", "capacity",
+        "facility_of", "charging_room", "initial_stock",
     )
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, rooms: tuple[str, ...], travel: dict[tuple[str, str], int],
+        facilities: tuple[Facility, ...], clock_start: int, capacity: int = DEFAULT_CAPACITY,
+    ):
+        self.rooms, self.travel, self.facilities = rooms, travel, facilities
+        self.clock_start, self.capacity = clock_start, capacity
         repeated = sorted({room for room in self.rooms if self.rooms.count(room) > 1})
         if repeated:
             raise WorldError(f"rooms listed more than once: {', '.join(repeated)}")
@@ -93,21 +91,20 @@ class WorldModel:
         ports = [f.location for f in self.facilities if f.kind == "charging_port"]
         if len(ports) != 1:
             raise WorldError(f"world needs exactly one charging_port facility, has {len(ports)}")
-        initial_stock = {(f.location, item): f.stock[item] for item, f in facility_of.items()}
-        object.__setattr__(self, "facility_of", facility_of)
-        object.__setattr__(self, "charging_room", ports[0])
-        object.__setattr__(self, "initial_stock", initial_stock)
+        self.facility_of = facility_of
+        self.charging_room = ports[0]
+        # (room, item) -> quantity at the start of every run; None means unbounded
+        self.initial_stock = {(f.location, item): f.stock[item] for item, f in facility_of.items()}
 
 
-@dataclass
-class ZArmState:
+class ZArmState(Record):
     """Where a caller says a run starts. The arm starts empty-handed, and
     `docked` counts, charging, only in the world's charging room (see
     `validator.start_run`). Nothing reads `capacity`: the world's applies."""
 
-    location: str
-    capacity: int = DEFAULT_CAPACITY
-    docked: bool = False
+    __slots__ = ("location", "capacity", "docked")
+    def __init__(self, location: str, capacity: int = DEFAULT_CAPACITY, docked: bool = False):
+        self.location, self.capacity, self.docked = location, capacity, docked
 
 
 def default_world() -> WorldModel:

@@ -441,6 +441,14 @@ def test_cli_import_loads_no_oracle():
     assert "aptbot.oracle" not in loaded
 
 
+def test_cli_import_loads_no_dataclasses():
+    # Records are plain classes: `dataclasses` and the `inspect` it pulls in
+    # would cost every cold start.
+    loaded = _loaded_by("aptbot.cli")
+    assert "aptbot.agent" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
 def test_cli_import_loads_only_aptbot_and_the_stdlib():
     foreign = {
         name for name in _loaded_by("aptbot.cli")

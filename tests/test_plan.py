@@ -98,6 +98,21 @@ def test_unknown_phrase_in_bracketed_line_is_an_error():
     assert "Levitate" in exc_info.value.offending_text
 
 
+@pytest.mark.parametrize(
+    "items", ["aspirin and", "and aspirin", "aspirin, and", "and, aspirin , ,", "aspirin and and"]
+)
+def test_a_dangling_and_in_a_delivery_list_is_a_conjunction(items):
+    plan = parse_plan(f"[10:00pm] Deliver {items} to the bedroom")
+    assert plan.actions == (TimedAction(1320, Deliver((("aspirin", 1),), "bedroom")),)
+    doubled = parse_plan(f"[10:00pm] Deliver {items} and and water to the bedroom")
+    assert doubled.actions[0].action.items == (("aspirin", 1), ("water", 1))
+
+
+def test_a_delivery_list_of_only_and_is_empty():
+    with pytest.raises(PlanParseError, match="empty delivery list"):
+        parse_plan("[10:00pm] Deliver and to the bedroom")
+
+
 def test_empty_text_parses_to_empty_plan():
     assert parse_plan("").actions == ()
     assert parse_plan("no plan lines here").actions == ()
@@ -266,7 +281,7 @@ def _reference_parse_phrase(phrase):
         items = tuple(
             _parse_qty_item(part)
             for chunk in m.group("items").split(",")
-            for part in re.split(r"\s+and\s+", chunk)
+            for part in re.split(r"(?<!\S)and(?!\S)", chunk)
             if part.strip()
         )
         if not items:
@@ -309,6 +324,8 @@ _PHRASES = st.builds(
 @example("return back to the charging port.")
 @example("Deliver 2 aspirin and 1 glass of water to the living room")
 @example("bring two, and 1 water to bedroom")
+@example("bring aspirin and to bedroom")
+@example("bring aspirin and and water to bedroom")
 @example("Deliver , to the kitchen")
 @example("Wait 0 minutes")
 @example("Fill a glass with the water")

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import pytest
 
@@ -108,8 +107,12 @@ def test_world_requires_charging_port_for_charging_room():
     config = {"facilities": [{"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}}]}
     with pytest.raises(WorldError):
         world_from_config(config)
+    world = default_world()
     with pytest.raises(WorldError):
-        replace(default_world(), facilities=(Facility("water_cooler", "kitchen", {"water": None}),))
+        WorldModel(
+            world.rooms, world.travel, (Facility("water_cooler", "kitchen", {"water": None}),),
+            world.clock_start, world.capacity,
+        )
 
 
 def test_world_refuses_a_repeated_room():
@@ -119,8 +122,9 @@ def test_world_refuses_a_repeated_room():
 
 def test_world_refuses_a_second_charging_port():
     ports = (Facility("charging_port", "living_room"), Facility("charging_port", "bedroom"))
+    world = default_world()
     with pytest.raises(WorldError, match="exactly one charging_port facility, has 2"):
-        replace(default_world(), facilities=ports)
+        WorldModel(world.rooms, world.travel, ports, world.clock_start, world.capacity)
 
 
 def _two_rooms(travel):
