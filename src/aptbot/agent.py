@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .gateway import Backend, ChatMessage, GatewayError, GenerationParams, Session, complete
-from .plan import ActionPlan, NormalizeError, PlanParseError, normalize, parse_plan
+from .plan import ActionPlan, PlanParseError, normalize, parse_plan
 from .prompts import (
     GOAL_SLOT_FORMAT,
     GoalSlotError,
@@ -31,7 +31,7 @@ from .simulator import FAULT, EventLog, execute
 from .validator import (
     DurationModel, Goal, UnachievableGoalError, Violation, goal_waypoints, validate,
 )
-from .world import WorldModel, ZArmState, read_sensors
+from .world import WorldError, WorldModel, ZArmState, read_sensors
 
 FULFILLED = "fulfilled"
 REJECTED_UNKNOWN_TYPE = "rejected_unknown_type"
@@ -73,7 +73,9 @@ class RequestOutcome(Record):
         self.attempts, self.error, self.violations = attempts, error, violations
 
 
-def _failure_line(failure: Violation | PlanParseError | NormalizeError | str) -> str:
+def _failure_line(failure: Violation | PlanParseError | WorldError | str) -> str:
+    """One feedback line: a violation's machine line, a parse error's line
+    and reason, or the text of a name the world lacks or of an execution fault."""
     if isinstance(failure, Violation):
         return failure.machine_line()
     if isinstance(failure, PlanParseError):
@@ -118,7 +120,7 @@ def _plan_attempt(
     """Judge one plan reply: (plan, log) if it executes, else its failures."""
     try:
         canonical = normalize(parse_plan(reply), world, arm.location)
-    except (PlanParseError, NormalizeError) as exc:
+    except (PlanParseError, WorldError) as exc:
         return [exc]
     start = (arm.location, world.clock_start)
     result = validate(canonical, world, goal, config.durations, start, start_docked=arm.docked)

@@ -13,14 +13,7 @@ from pathlib import Path
 from .agent import FULFILLED, AgentConfig, RequestOutcome, handle_request
 from .clock import format_clock
 from .gateway import BackendError, ChatMessage, default_model_from_env, http_backend_from_env
-from .plan import (
-    NormalizeError,
-    PlanParseError,
-    action_phrase,
-    normalize,
-    parse_plan,
-    serialize_plan,
-)
+from .plan import PlanParseError, action_phrase, normalize, parse_plan, serialize_plan
 from .prompts import GoalSlotError, ScaffoldMarkerError, parse_goal_slots
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simulator import render_event_log
@@ -31,8 +24,7 @@ from .world import WorldError, ZArmState, default_world
 # plan, a goal or the environment. Anything else is a fault in the program
 # and keeps its traceback.
 INPUT_ERRORS = (
-    ScenarioError, GoalSlotError, PlanParseError, NormalizeError,
-    WorldError, BackendError, OSError, UnicodeError,
+    ScenarioError, GoalSlotError, PlanParseError, WorldError, BackendError, OSError, UnicodeError,
 )
 
 

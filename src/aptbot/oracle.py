@@ -1,9 +1,11 @@
 """Brute-force baseline planner used as ground truth in tests.
 
-Enumerates every ordering of the goal's pickup/fill waypoints (factorial,
-capped at 8), builds the earliest-feasible schedule for each, then shifts
-the whole schedule so the delivery completes as close to the target time
-as the window allows. Never called on the production path; the model is
+Plans one trip: every item is picked up or filled, then all are delivered
+at once. Enumerates every ordering of the goal's pickup/fill waypoints
+(factorial, capped at 8), builds the earliest-feasible schedule for each,
+then shifts the whole schedule so the delivery completes as close to the
+target time as the window allows. A goal that needs more item kinds than
+the arm carries is refused, though a plan of several trips may meet it. Never called on the production path; the model is
 the planner there.
 """
 
@@ -120,7 +122,8 @@ def enumerate_feasible(
     *,
     start_docked: bool = False,
 ) -> list[ActionPlan]:
-    """Every waypoint ordering that admits a valid schedule, canonical form."""
+    """Every waypoint ordering whose one-trip plan admits a valid schedule,
+    canonical form."""
     return [plan for _, _, plan, _, _ in _candidates(world, goal, durations, start, start_docked)]
 
 
@@ -132,8 +135,8 @@ def plan_oracle(
     *,
     start_docked: bool = False,
 ) -> ActionPlan:
-    """Best feasible plan: delivery closest to the target, ties broken by
-    earlier completion, then lexicographic room order."""
+    """Best feasible one-trip plan: delivery closest to the target, ties
+    broken by earlier completion, then lexicographic room order."""
     candidates = _candidates(world, goal, durations, start, start_docked)
     if not candidates:
         raise ValueError("no waypoint ordering fits the deadline window")

@@ -25,10 +25,6 @@ class PlanParseError(ValueError):
         self.offending_text = offending_text
 
 
-class NormalizeError(ValueError):
-    """Raised when implicit moves cannot be inserted."""
-
-
 class Move(Record, frozen=True):
     __slots__ = ("dest",)
     def __init__(self, dest: str):
@@ -246,32 +242,24 @@ def required_room(action: Action, world: WorldModel) -> str | None:
 def normalize(plan: ActionPlan, world: WorldModel, start_room: str) -> ActionPlan:
     """Insert explicit moves so consecutive actions never change rooms implicitly.
 
-    Inserted moves start at the next action's time minus the travel time.
-    Idempotent; canonical plans come back unchanged.
+    Inserted moves start at the next action's time minus the travel time,
+    but not before 12:00am; the validator judges a move left short of time.
+    Idempotent; canonical plans come back unchanged. A room or item the
+    world lacks raises WorldError.
     """
     if start_room not in world.rooms:
-        raise NormalizeError(f"unknown room {start_room!r}")
+        raise WorldError(f"unknown room {start_room!r}")
     current = start_room
     out: list[TimedAction] = []
     for ta in plan.actions:
-        if isinstance(ta.action, Move):
-            if ta.action.dest not in world.rooms:
-                raise NormalizeError(f"unknown room {ta.action.dest!r}")
+        if type(ta.action) is Move:
+            travel_time(world, current, ta.action.dest)  # refuses an unknown room
             current = ta.action.dest
-            out.append(ta)
-            continue
-        try:
+        else:
             room = required_room(ta.action, world)
-        except WorldError as exc:
-            raise NormalizeError(str(exc)) from None
-        if room is not None and room != current:
-            minutes = travel_time(world, current, room)
-            move_start = ta.start - minutes
-            if move_start < 0:
-                raise NormalizeError(
-                    f"implied move to {room} would begin before the day starts"
-                )
-            out.append(TimedAction(move_start, Move(room)))
-            current = room
+            if room is not None and room != current:
+                move_start = max(0, ta.start - travel_time(world, current, room))
+                out.append(TimedAction(move_start, Move(room)))
+                current = room
         out.append(ta)
     return ActionPlan(tuple(out))

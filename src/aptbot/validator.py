@@ -65,28 +65,35 @@ class UnachievableGoalError(ValueError):
     enough stock of them."""
 
 
+def item_totals(items: tuple[tuple[str, int], ...]) -> dict[str, int]:
+    """Each item's total quantity, in the order items are first named."""
+    totals: dict[str, int] = {}
+    for item, qty in items:
+        totals[item] = totals.get(item, 0) + qty
+    return totals
+
+
 def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
-    """(room, item, qty, facility kind) per required item; fails naming an
-    unknown destination room, else every unstocked item, else every item the
-    goal needs more of than its facility stocks."""
+    """(room, item, total qty, facility kind) per required item; fails naming
+    an unknown destination room, else every unstocked item, else every item
+    the goal needs more of than its facility stocks."""
     if goal.destination not in world.rooms:
         raise UnachievableGoalError(f"destination room not in the world: {goal.destination}")
-    missing, short, wanted, out = [], {}, {}, []
-    for item, qty in goal.deliveries:
+    missing, short, out = [], [], []
+    for item, qty in item_totals(goal.deliveries).items():
         try:
             facility = item_location(world, item)
         except WorldError:
             missing.append(item)
             continue
         out.append((facility.location, item, qty, facility.kind))
-        wanted[item] = wanted.get(item, 0) + qty
         stock = facility.stock[item]
-        if stock is not None and stock < wanted[item]:
-            short[item] = f"{item} ({wanted[item]} wanted, {stock} stocked)"
+        if stock is not None and stock < qty:
+            short.append(f"{item} ({qty} wanted, {stock} stocked)")
     if missing:
         raise UnachievableGoalError(f"required items not stocked anywhere: {', '.join(missing)}")
     if short:
-        raise UnachievableGoalError(f"not enough stock for: {', '.join(short.values())}")
+        raise UnachievableGoalError(f"not enough stock for: {', '.join(short)}")
     return out
 
 
@@ -196,12 +203,9 @@ def check(
                 problems.append(violation("CapacityExceeded", index=index))
             minutes = durations.pick_min if kind is Pick else durations.fill_min
         elif kind is Deliver:
-            wanted: dict[str, int] = {}
-            for item, qty in action.items:
-                wanted[item] = wanted.get(item, 0) + qty
             problems.extend(
                 violation("ItemUnavailable", item=item, room=room)
-                for item, qty in wanted.items()
+                for item, qty in item_totals(action.items).items()
                 if run.payload.get(item, 0) < qty
             )
             minutes = durations.deliver_min
@@ -285,14 +289,14 @@ def validate(
             delivered_at = completion
         schedule.append(ScheduledAction(ta, completion))
 
-    missing = []
-    for item, qty in goal.deliveries:
-        got = run.delivered.get(goal.destination, {}).get(item, 0)
-        if got < qty:
-            missing.append((item, qty - got))
+    got = run.delivered.get(goal.destination, {})
+    missing = [
+        f"{item}:{qty - got.get(item, 0)}"
+        for item, qty in item_totals(goal.deliveries).items()
+        if got.get(item, 0) < qty
+    ]
     if missing:
-        text = ",".join(f"{item}:{qty}" for item, qty in missing)
-        violations.append(violation("GoalUnmet", missing=text))
+        violations.append(violation("GoalUnmet", missing=",".join(missing)))
 
     if delivered_at is not None and abs(delivered_at - goal.target_time) > goal.tolerance:
         violations.append(violation(

@@ -266,6 +266,23 @@ def test_validate_unparseable_plan_exits_2(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_validate_plan_naming_a_room_the_world_lacks_exits_2(tmp_path):
+    plan = tmp_path / "attic.txt"
+    plan.write_text("[9:56pm] Move to the attic\n")
+    proc = run_cli("validate", str(plan), "--goal", GOAL)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown room 'attic'\n"
+
+
+def test_validate_move_too_early_for_the_day_is_judged_as_a_violation(tmp_path):
+    plan = tmp_path / "early.txt"
+    plan.write_text("[12:01am] Pick 2 aspirin\n")
+    proc = run_cli("validate", str(plan), "--goal", GOAL)
+    assert proc.returncode == 1, proc.stderr
+    assert "VIOLATION TravelInfeasible index=0 needed=2 available=1\n" in proc.stdout
+
+
 def test_validate_with_world_override(tmp_path):
     scenario = tmp_path / "short.scenario"
     scenario.write_text(

@@ -108,13 +108,16 @@ def test_no_dock_tail_when_no_move_undocks_the_arm():
     assert validate(best, world, goal, DurationModel(), start, start_docked=True).ok
 
 
-def test_waypoint_cap_is_enforced(world):
+def test_waypoint_cap_is_enforced():
+    # Nine distinct items: a goal naming one item nine times is one waypoint.
+    pills = [f"pill{i}" for i in range(9)]
+    world = world_from_config({"stock": {"medicine_box": {pill: 1 for pill in pills}}})
     goal = Goal(
-        tuple((item, 1) for item in ["aspirin"] * 9),
+        tuple((pill, 1) for pill in pills),
         destination="bedroom",
         target_time=parse_clock("11:00pm"),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too many waypoints: 9 > 8"):
         enumerate_feasible(world, goal, DurationModel(), START)
 
 

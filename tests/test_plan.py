@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -12,7 +13,6 @@ from aptbot.plan import (
     Dock,
     Fill,
     Move,
-    NormalizeError,
     Pick,
     PlanParseError,
     TimedAction,
@@ -27,6 +27,8 @@ from aptbot.plan import (
     room_text,
     serialize_plan,
 )
+from aptbot.validator import DurationModel, Goal, validate
+from aptbot.world import WorldError, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
 
@@ -175,28 +177,74 @@ def test_normalize_is_idempotent(world):
     assert once == twice == plan
 
 
-def test_normalize_rejects_negative_inferred_start(world):
-    plan = parse_plan("[12:01am] Pick 1 aspirin")
-    with pytest.raises(NormalizeError):
-        normalize(plan, world, "living_room")
+def test_normalize_starts_an_early_move_at_midnight_for_the_validator_to_judge(world):
+    plan = normalize(parse_plan("[12:01am] Pick 1 aspirin"), world, "living_room")
+    assert serialize_plan(plan) == "[12:00am] Move to the storeroom\n[12:01am] Pick 1 aspirin"
+    goal = Goal((("aspirin", 1),), "living_room", parse_clock("10:00pm"))
+    result = validate(plan, world, goal, DurationModel(), ("living_room", 0))
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION TravelInfeasible index=0 needed=2 available=1",
+        "VIOLATION GoalUnmet missing=aspirin:1",
+        "VIOLATION NotDockedAtEnd",
+    ]
 
 
 def test_normalize_rejects_unknown_item(world):
     plan = parse_plan("[9:58pm] Pick 1 unobtainium")
-    with pytest.raises(NormalizeError):
+    with pytest.raises(WorldError, match="unknown item 'unobtainium'"):
         normalize(plan, world, "living_room")
 
 
 def test_normalize_rejects_unknown_move_destination(world):
     plan = parse_plan("[9:56pm] Move to the attic")
-    with pytest.raises(NormalizeError, match="unknown room 'attic'"):
+    with pytest.raises(WorldError, match="unknown room 'attic'"):
         normalize(plan, world, "living_room")
 
 
 def test_normalize_rejects_unknown_start_room(world):
     plan = parse_plan("[9:58pm] Pick 1 aspirin")
-    with pytest.raises(NormalizeError):
+    with pytest.raises(WorldError, match="unknown room 'garage'"):
         normalize(plan, world, "garage")
+
+
+def _random_named_action(rng, world):
+    """One action naming only the world's rooms and items."""
+    rooms, items = world.rooms, sorted(world.facility_of)
+    return rng.choice([
+        lambda: Move(rng.choice(rooms)),
+        lambda: Pick(rng.choice(items), rng.randint(1, 3)),
+        lambda: Fill("glass", rng.choice(items)),
+        lambda: Deliver(((rng.choice(items), rng.randint(1, 3)),), rng.choice(rooms)),
+        lambda: Dock(),
+        lambda: Charge(),
+        lambda: Wait(rng.randint(1, 30)),
+    ])()
+
+
+def test_every_plan_of_the_worlds_names_normalizes_and_is_judged():
+    """Seeded: starts anywhere in the day, a third of them below the travel
+    time, so some inserted moves start at 12:00am short of time."""
+    rng = random.Random(19)
+    worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
+    goal = Goal((("aspirin", 1),), "living_room", parse_clock("10:30pm"))
+    early = 0
+    for _ in range(3000):
+        world = rng.choice(worlds)
+        room = rng.choice(world.rooms)
+        plan = ActionPlan(tuple(
+            TimedAction(rng.choice([rng.randrange(2), rng.randrange(1440), rng.randrange(1440)]),
+                        _random_named_action(rng, world))
+            for _ in range(rng.randint(1, 5))
+        ))
+        normalized = normalize(plan, world, room)
+        result = validate(normalized, world, goal, DurationModel(), (room, world.clock_start))
+        for v in result.violations:
+            fields = dict(v.fields)
+            if v.kind == "TravelInfeasible":
+                assert fields["needed"] > fields["available"], v.machine_line()
+                move = normalized.actions[fields["index"]]
+                early += move.start == 0 and move not in plan.actions
+    assert early > 100, early  # moves inserted at 12:00am, short of time
 
 
 _rooms = st.sampled_from(

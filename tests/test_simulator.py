@@ -9,7 +9,6 @@ from aptbot.oracle import plan_oracle
 from aptbot.plan import (
     ActionPlan,
     Move,
-    NormalizeError,
     TimedAction,
     normalize,
     parse_plan,
@@ -393,7 +392,7 @@ def test_execute_faults_with_the_validators_first_violation():
         if normalized:
             try:
                 plan = normalize(plan, world, room)
-            except NormalizeError:
+            except WorldError:  # the world lacks the start room or a name
                 continue
         log = execute(plan, world, ZArmState(room, docked=docked), DurationModel())
         start = (room, world.clock_start)

@@ -1,10 +1,14 @@
-"""Every plan of up to four actions in one small world, judged and run.
+"""Every plan of up to five actions in one small world, judged and run.
 
-Nothing here is sampled: each plan strings together up to four of nine
-actions, each at its earliest start, and is judged from three starts
-against three goals. Inside that scope the validator, the simulator and the
-oracle cannot disagree unseen.
+Nothing here is sampled: each plan strings together up to five of nine
+actions, each at its earliest start and in the room it needs (a Move, or
+an action whose `required_room` is the arm's room), and is judged from
+three starts against three goals. Inside that scope the validator, the
+simulator and the oracle cannot disagree unseen. An action away from its
+room is refused as not normalized; one such plan per start checks that.
 """
+
+import pytest
 
 from aptbot.oracle import plan_oracle
 from aptbot.plan import (
@@ -16,7 +20,7 @@ from aptbot.world import WorldError, ZArmState
 from conftest import small_world
 from test_simulator import _END_KINDS
 
-MAX_ACTIONS = 4
+MAX_ACTIONS = 5
 ACTIONS = (
     Move("hall"), Move("kitchen"), Move("store"),
     Pick("aspirin", 1), Fill("glass", "water"),
@@ -31,16 +35,18 @@ MINUTES = {
 
 
 def _plans(world, room, t, timed=()):
-    """Every plan of up to MAX_ACTIONS of ACTIONS from `room`, each action
-    starting when the one before it completes."""
+    """Every plan of up to MAX_ACTIONS of ACTIONS from `room` that keeps each
+    action in the room it needs, each starting when the one before it completes."""
     yield ActionPlan(timed)
     if len(timed) == MAX_ACTIONS:
         return
     for action in ACTIONS:
         if type(action) is Move:
             room_after, minutes = action.dest, world.travel[(room, action.dest)]
-        else:  # every other action here needs a room; without a Move there it is refused
-            room_after, minutes = required_room(action, world), MINUTES[type(action)]
+        elif required_room(action, world) == room:
+            room_after, minutes = room, MINUTES[type(action)]
+        else:  # away from its room: refused, as the test checks once per start
+            continue
         yield from _plans(world, room_after, t + minutes, (*timed, TimedAction(t, action)))
 
 
@@ -76,16 +82,20 @@ def test_every_small_plan_runs_as_judged_and_none_outranks_the_oracle():
             result = validate(plan, world, goal, DURATIONS, start, start_docked=True)
             assert result.ok, (room, goal, [v.machine_line() for v in result.violations])
             best[goal] = _rank(result, goal, clock)
+        away = next(a for a in ACTIONS if type(a) is not Move and required_room(a, world) != room)
+        refused = ActionPlan((TimedAction(clock, away),))
+        text = f"action needs room {required_room(away, world)!r}, arm is in {room!r}"
+        with pytest.raises(WorldError) as info:
+            validate(refused, world, goals[0], DURATIONS, start, start_docked=True)
+        assert str(info.value) == text
+        log = execute(refused, world, arm, DURATIONS)
+        assert log.outcome == FAULT and log.events[-1].detail == text
         for plan in _plans(world, room, clock):
             log = execute(plan, world, arm, DURATIONS)
             seen["faulted"] += log.outcome == FAULT
             for goal in goals:
                 seen["judged"] += 1
-                try:
-                    result = validate(plan, world, goal, DURATIONS, start, start_docked=True)
-                except WorldError:  # an action away from its room: refused as not normalized
-                    assert log.outcome == FAULT, plan
-                    continue
+                result = validate(plan, world, goal, DURATIONS, start, start_docked=True)
                 steps = [v.machine_line() for v in result.violations if v.kind not in _END_KINDS]
                 if steps:
                     assert log.outcome == FAULT and log.events[-1].detail == steps[0], plan
@@ -96,5 +106,5 @@ def test_every_small_plan_runs_as_judged_and_none_outranks_the_oracle():
                     assert log.final_state.delivered == result.delivered, plan
                     assert log.final_state.docked and log.final_state.charging, plan
                     assert goal in best and _rank(result, goal, clock) >= best[goal], plan
-    assert seen["judged"] == 3 * 3 * sum(len(ACTIONS) ** n for n in range(MAX_ACTIONS + 1))
+    assert seen["judged"] == 83_058, seen
     assert seen["accepted"] > 50 and seen["faulted"] > 1000, seen

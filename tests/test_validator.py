@@ -1,8 +1,10 @@
 import pytest
 
 from aptbot.clock import parse_clock
+from aptbot.oracle import plan_oracle
 from aptbot.plan import normalize, parse_plan
-from aptbot.validator import DurationModel, Goal, validate, violation
+from aptbot.prompts import parse_goal_slots
+from aptbot.validator import DurationModel, Goal, goal_waypoints, validate, violation
 from aptbot.world import WorldError, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
@@ -36,6 +38,27 @@ def test_kitchen_first_variant_is_valid(world, medication_goal):
         "[10:07pm] Start charging"
     )
     assert _validate(text, world, medication_goal).ok
+
+
+def test_a_goal_naming_an_item_twice_wants_the_total(world):
+    goal = parse_goal_slots(
+        "item=aspirin; qty=2; companion=aspirin; time=10:00pm; room=living room"
+    )
+    assert goal_waypoints(world, goal) == [("storeroom", "aspirin", 3, "medicine_box")]
+    two = (
+        "[9:56pm] Move to the storeroom\n"
+        "[9:58pm] Pick 2 aspirin\n"
+        "[9:59pm] Move to the living room\n"
+        "[10:01pm] Deliver 2 aspirin to the living room\n"
+        "[10:02pm] Dock at the charging port\n"
+        "[10:04pm] Start charging"
+    )
+    assert [v.machine_line() for v in _validate(two, world, goal).violations] == [
+        "VIOLATION GoalUnmet missing=aspirin:1",
+    ]
+    best = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+    result = validate(best, world, goal, DurationModel(), START, start_docked=True)
+    assert result.ok and result.delivered == {"living_room": {"aspirin": 3}}
 
 
 def test_travel_infeasible_reports_needed_and_available(world):

@@ -4,7 +4,7 @@ import pytest
 
 from aptbot.clock import parse_clock
 from aptbot.oracle import plan_oracle
-from aptbot.plan import NormalizeError, normalize, parse_plan
+from aptbot.plan import normalize, parse_plan
 from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import (
@@ -175,12 +175,12 @@ def test_unknown_lookups_keep_their_error_type_and_message(world):
         ("Deliver 1 aspirin to the x", "unknown room 'x'"),
     ]:
         plan = parse_plan(f"[10:00pm] {phrase}")
-        cases.append((lambda p=plan: normalize(p, world, "living_room"), NormalizeError, message))
+        cases.append((lambda p=plan: normalize(p, world, "living_room"), WorldError, message))
         cases.append(
             (lambda p=plan: validate(p, world, goal, DurationModel(), start), WorldError, message)
         )
     dock = parse_plan("[10:00pm] Dock")
-    cases.append((lambda: normalize(dock, world, "x"), NormalizeError, "unknown room 'x'"))
+    cases.append((lambda: normalize(dock, world, "x"), WorldError, "unknown room 'x'"))
     cases.append(
         (
             lambda: validate(dock, world, goal, DurationModel(), ("x", 0)),
