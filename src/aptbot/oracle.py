@@ -15,7 +15,7 @@ from itertools import permutations
 
 from .clock import MINUTES_PER_DAY
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
-from .validator import DurationModel, Goal, goal_waypoints, start_run
+from .validator import DurationModel, Goal, goal_waypoints, item_totals, start_run
 from .world import WorldModel, travel_time
 
 MAX_WAYPOINTS = 8
@@ -28,11 +28,13 @@ def _build(
     start: tuple[str, int],
     order: tuple[tuple[str, str, int, str], ...],
     docked: bool,
+    deliver: Deliver | None,
 ) -> tuple[ActionPlan, int | None, int] | None:
     """Earliest-feasible chain for one waypoint order, shifted toward the target.
 
     Returns (plan, delivery_completion, plan_completion) or None when the
-    order cannot meet the deadline window or runs past midnight.
+    order cannot meet the deadline window or runs past midnight. `deliver`
+    is the goal's one delivery, None when it delivers nothing.
     """
     # The minutes below repeat `validator.check`'s durations on purpose: a
     # chain built on the validator's run state (`start_run`, `apply`) made
@@ -60,9 +62,9 @@ def _build(
             t += durations.pick_min
 
     delivery_completion = None
-    if goal.deliveries:
-        move_to(goal.destination)
-        actions.append(TimedAction(t, Deliver(tuple(goal.deliveries), goal.destination)))
+    if deliver is not None:
+        move_to(deliver.dest)
+        actions.append(TimedAction(t, deliver))
         t += durations.deliver_min
         delivery_completion = t
 
@@ -101,9 +103,13 @@ def _candidates(
     if kinds > world.capacity:  # one trip carries every item to the destination
         raise ValueError(f"goal needs {kinds} item kinds at once, capacity is {world.capacity}")
     docked = start_run(world, start[0], start_docked, start[1]).docked
+    # One line per item with its total, though the goal may name an item twice.
+    deliver = None
+    if goal.deliveries:
+        deliver = Deliver(tuple(item_totals(goal.deliveries).items()), goal.destination)
     out = []
     for order in dict.fromkeys(permutations(waypoints)):  # each distinct order once
-        built = _build(world, goal, durations, start, order, docked)
+        built = _build(world, goal, durations, start, order, docked, deliver)
         if built is None:
             continue
         plan, delivery, completion = built

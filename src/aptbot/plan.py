@@ -7,11 +7,18 @@ priority order: dock, charge, wait, move, fill, deliver, pick; the first
 verb that reads the whole phrase wins, so "return to the charging port"
 docks rather than moves. The serializer is byte-deterministic;
 `parse_plan(serialize_plan(p)) == p` for every canonical plan.
+
+Replies repeat a small vocabulary of phrases, so a bounded memo parses each
+distinct phrase text once: equal phrase text gives one shared action record,
+in every plan that holds it. Action records must therefore never be mutated.
+A phrase that is refused is not remembered and is refused again each time.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+
 from .clock import ClockParseError, parse_clock, format_clock
 from .record import Record
 from .world import WorldError, WorldModel, item_location, travel_time
@@ -96,6 +103,10 @@ _WORD_NUMBERS = {
     "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
 }
 
+# Distinct phrase texts the parser remembers; one benchmark pass of scripted
+# replies holds under 600, and the bound keeps hostile replies from growing it.
+PHRASE_MEMO_SIZE = 2048
+
 # Alternation tries the verbs in the module docstring's priority order, so a
 # phrase that two verbs could read goes to the earlier one. Each verb is a
 # named group around its whole alternative, so `m.lastgroup` names the verb.
@@ -118,7 +129,7 @@ def _parse_qty_item(text: str) -> tuple[str, int]:
     """Split "2 aspirin" / "two pills of aspirin" / "aspirin" into (item, qty)."""
     words = text.strip().lower().split()
     qty = 1
-    if words and words[0].isdigit():
+    if words and words[0].isdecimal():  # what int() reads; "²" is a digit, not decimal
         qty = int(words.pop(0))
     elif words and words[0] in _WORD_NUMBERS:
         qty = _WORD_NUMBERS[words.pop(0)]
@@ -132,6 +143,7 @@ def _parse_qty_item(text: str) -> tuple[str, int]:
     return item, qty
 
 
+@lru_cache(maxsize=PHRASE_MEMO_SIZE)
 def _parse_phrase(phrase: str) -> Action:
     lowered = " ".join(phrase.strip().rstrip(".").split()).lower()
     m = _VERB_RE.match(lowered)

@@ -275,6 +275,15 @@ def test_validate_plan_naming_a_room_the_world_lacks_exits_2(tmp_path):
     assert proc.stderr == "error: unknown room 'attic'\n"
 
 
+def test_validate_plan_with_a_non_decimal_count_names_the_unknown_item(tmp_path):
+    plan = tmp_path / "superscript.txt"
+    plan.write_text("[9:56pm] Pick ² aspirin\n", encoding="utf-8")
+    proc = run_cli("validate", str(plan), "--goal", GOAL)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown item '² aspirin'\n"
+
+
 def test_validate_move_too_early_for_the_day_is_judged_as_a_violation(tmp_path):
     plan = tmp_path / "early.txt"
     plan.write_text("[12:01am] Pick 2 aspirin\n")

@@ -49,6 +49,17 @@ def test_every_enumerated_plan_validates(world, medication_goal):
         assert result.ok, [v.machine_line() for v in result.violations]
 
 
+def test_an_item_named_twice_is_delivered_in_one_line_with_its_total(world):
+    goal = Goal((("aspirin", 2), ("aspirin", 1)), "living_room", parse_clock("10:00pm"))
+    best = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+    assert "[10:01pm] Deliver 3 aspirin to the living room" in serialize_plan(best).splitlines()
+    result = validate(best, world, goal, DurationModel(), START, start_docked=True)
+    assert result.ok, [v.machine_line() for v in result.violations]
+    log = execute(best, world, ZArmState(location=START[0], docked=True), DurationModel())
+    assert log.outcome == COMPLETED
+    assert log.final_state.delivered == {"living_room": {"aspirin": 3}}
+
+
 def test_unstocked_item_is_unachievable(world):
     goal = Goal((("coffee", 1),), "bedroom", parse_clock("10:00pm"))
     with pytest.raises(UnachievableGoalError):

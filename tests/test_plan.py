@@ -14,6 +14,7 @@ from aptbot.plan import (
     Fill,
     Move,
     Pick,
+    PHRASE_MEMO_SIZE,
     PlanParseError,
     TimedAction,
     Wait,
@@ -379,4 +380,23 @@ _PHRASES = st.builds(
 @example("Fill a glass with the water")
 @example("take 2 pills of aspirin")
 def test_single_verb_pattern_matches_the_sequential_patterns(phrase):
-    assert _outcome(_parse_phrase, phrase) == _outcome(_reference_parse_phrase, phrase)
+    # Twice, so a stale remembered action or a remembered refusal shows up.
+    expected = _outcome(_reference_parse_phrase, phrase)
+    assert _outcome(_parse_phrase, phrase) == expected
+    assert _outcome(_parse_phrase, phrase) == expected
+
+
+def test_the_phrase_memo_stays_bounded():
+    for minutes in range(1, PHRASE_MEMO_SIZE + 100):
+        assert _parse_phrase(f"Wait {minutes} minutes") == Wait(minutes)
+    info = _parse_phrase.cache_info()
+    assert info.maxsize == PHRASE_MEMO_SIZE
+    assert info.currsize == PHRASE_MEMO_SIZE
+
+
+def test_a_quantity_is_a_decimal_number():
+    # "²" is a digit to str.isdigit, but int() cannot read it.
+    assert _parse_phrase("Pick ² aspirin") == Pick("² aspirin", 1)
+    assert _parse_phrase("Pick 12 aspirin") == Pick("aspirin", 12)
+    with pytest.raises(WorldError, match=r"^unknown item '² aspirin'$"):
+        normalize(parse_plan("[9:56pm] Pick ² aspirin"), default_world(), "living_room")
