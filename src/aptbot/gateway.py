@@ -92,14 +92,17 @@ def render_history(session: Session, token_budget: int) -> list[ChatMessage]:
         remaining -= count_tokens(session.pinned.content)
     if remaining < 0:
         raise TokenLimitError(f"input is {-remaining} tokens over the token budget")
-    kept: list[ChatMessage] = []
-    for user_msg, assistant_msg in reversed(session.pairs()):
-        cost = count_tokens(user_msg.content) + count_tokens(assistant_msg.content)
+    turns = session.turns
+    if len(turns) % 2 != 0:
+        raise ValueError("session turns are not whole user/assistant pairs")
+    start = len(turns)
+    while start:
+        cost = count_tokens(turns[start - 2].content) + count_tokens(turns[start - 1].content)
         if cost > remaining:
             break
-        kept[:0] = [user_msg, assistant_msg]
         remaining -= cost
-    rendered.extend(kept)
+        start -= 2
+    rendered += turns[start:]
     return rendered
 
 
@@ -126,13 +129,14 @@ def complete(
     if not prompt:
         raise ValueError("prompt must be non-empty")
     messages = render_history(session, token_budget - count_tokens(prompt))
-    messages.append(ChatMessage("user", prompt))
+    user_msg = ChatMessage("user", prompt)
+    messages.append(user_msg)
     reply = backend.generate(messages, params)
     try:
         reply.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise BackendError(f"reply is not UTF-8 text: {exc.reason} at index {exc.start}") from None
-    session.append_pair(prompt, reply)
+    session.turns += (user_msg, ChatMessage("assistant", reply))
     return reply
 
 
@@ -164,14 +168,23 @@ class ScriptedBackend:
     def __init__(self, entries: list[ScriptEntry]):
         self.entries = entries
         self.calls = 0
+        self._first = 0  # every entry before this index is consumed
 
     def generate(self, messages: list[ChatMessage], params: GenerationParams) -> str:
+        """The reply of the first unconsumed entry, in script order, whose
+        matcher fits the last user message; that entry is then consumed."""
         del params
         if not messages or messages[-1].role != "user":
             raise BackendError("scripted backend expects a trailing user message")
         prompt = messages[-1].content
         self.calls += 1
-        for entry in self.entries:
+        entries = self.entries
+        first = self._first
+        while first < len(entries) and entries[first].consumed:
+            first += 1
+        self._first = first
+        for index in range(first, len(entries)):
+            entry = entries[index]
             if not entry.consumed and entry.matches(prompt, self.calls):
                 entry.consumed = True
                 return entry.response

@@ -125,12 +125,21 @@ _VERB_RE = re.compile(
 )
 
 
+def _read_count(digits: str, what: str) -> int:
+    """Decimal digits as an int. By default int() refuses more than 4,300 of
+    them in its own words, which must not reach the model as a plan's fault."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} has too many digits") from None
+
+
 def _parse_qty_item(text: str) -> tuple[str, int]:
     """Split "2 aspirin" / "two pills of aspirin" / "aspirin" into (item, qty)."""
     words = text.strip().lower().split()
     qty = 1
     if words and words[0].isdecimal():  # what int() reads; "²" is a digit, not decimal
-        qty = int(words.pop(0))
+        qty = _read_count(words.pop(0), "count")
     elif words and words[0] in _WORD_NUMBERS:
         qty = _WORD_NUMBERS[words.pop(0)]
     while len(words) > 1 and words[0] in ("a", "an", "the"):
@@ -153,7 +162,7 @@ def _parse_phrase(phrase: str) -> Action:
     if verb == "charge":
         return Charge()
     if verb == "wait":
-        minutes = int(m.group("n"))
+        minutes = _read_count(m.group("n"), "minute count")
         if minutes < 1:
             raise ValueError("wait must be at least one minute")
         return Wait(minutes)

@@ -6,6 +6,10 @@ drift. The classification fixture's worked example answers "(C)" even
 though its own option list labels appliance control "(B)" -- the fixture is
 preserved verbatim rather than corrected, and classification must still
 work with it as-is.
+
+The classification and goal-extraction prompts fill the scaffold from fixed
+fixtures, so their heads, everything before the question, are built once at
+import; each call only checks the request and appends it.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class ScaffoldMarkerError(ValueError):
 
 def check_slots(**slots: str) -> None:
     for name, value in slots.items():
+        if "{" not in value:
+            continue
         for marker in _PLACEHOLDERS:
             if marker in value:
                 raise ScaffoldMarkerError(f"{name} must not contain scaffold marker {marker}")
@@ -143,8 +149,11 @@ GOAL_SLOT_EXAMPLE = (
     "time=8:30am; room=bedroom"
 )
 
+# Each pattern starts with its key, so the search jumps straight to the key's
+# text; the lookbehind then skips a key that follows a word character, as a
+# leading \b would (every key starts with a word character).
 _SLOT_RES = {
-    key: re.compile(rf"\b{key}\s*=\s*([^;\n]+)")
+    key: re.compile(rf"{key}(?<!\w{key})\s*=\s*([^;\n]+)")
     for key in ("item", "qty", "companion", "time", "room")
 }
 
@@ -178,13 +187,22 @@ def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
     )
 
 
+# The scaffold before and after its {2} question slot, and the heads of the
+# two prompts whose description and examples are fixed.
+_QUESTION_HEAD, _QUESTION_TAIL = FEW_SHOT_SCAFFOLD.split("{2}")
+_CLASSIFY_HEAD = _QUESTION_HEAD.format(CLASSIFY_DESCRIPTION, CLASSIFY_EXAMPLE)
+_GOAL_HEAD = _QUESTION_HEAD.format(GOAL_SLOT_DESCRIPTION, GOAL_SLOT_EXAMPLE)
+
+
 def classify_prompt(request: str) -> str:
     """One-shot classification via the frozen fixture prompt."""
-    return build_few_shot_prompt(CLASSIFY_DESCRIPTION, CLASSIFY_EXAMPLE, request)
+    check_slots(question=request)
+    return _CLASSIFY_HEAD + request + _QUESTION_TAIL
 
 
 def goal_prompt(request: str) -> str:
-    return build_few_shot_prompt(GOAL_SLOT_DESCRIPTION, GOAL_SLOT_EXAMPLE, request)
+    check_slots(question=request)
+    return _GOAL_HEAD + request + _QUESTION_TAIL
 
 
 class TemplateEntry(Record, frozen=True):

@@ -151,4 +151,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"scenario {path} holds text that cannot be encoded as UTF-8: {exc.reason}"
         ) from None
+    except ValueError:
+        # The only other refusal of json.loads: int() will not read an
+        # integer of more than 4,300 digits by default.
+        raise ScenarioError(f"scenario {path} holds an integer too long to read") from None
     return parse_scenario(raw)

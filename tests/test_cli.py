@@ -186,6 +186,10 @@ def test_nested_field_error_names_its_template_or_facility(tmp_path, case):
 LONE_SURROGATE_SCENARIO = json.dumps(
     {**json.loads(SCENARIO_PATH.read_text()), "requests": ["bring water \ud800 please"]}
 ).encode()
+# json.dumps cannot write an integer this long either, so it is spliced in.
+LONG_INTEGER_SCENARIO = json.dumps(
+    {**json.loads(SCENARIO_PATH.read_text()), "world": {"capacity": 0}}
+).replace('"capacity": 0', '"capacity": ' + "1" * 4301).encode()
 
 
 @pytest.mark.parametrize(
@@ -194,8 +198,9 @@ LONE_SURROGATE_SCENARIO = json.dumps(
         b'{"requests": ["caf\xe9"]}',
         b'{"requests": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         LONE_SURROGATE_SCENARIO,
+        LONG_INTEGER_SCENARIO,
     ],
-    ids=["non-utf8", "deeply-nested", "lone-surrogate"],
+    ids=["non-utf8", "deeply-nested", "lone-surrogate", "integer-too-long"],
 )
 def test_run_undecodable_scenario_exits_2(tmp_path, content):
     path = tmp_path / "bad.scenario"

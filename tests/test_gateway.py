@@ -72,6 +72,12 @@ def test_render_history_never_splits_a_pair():
     assert messages == []
 
 
+def test_render_history_refuses_a_half_pair():
+    session = Session(turns=[ChatMessage("user", "q")])
+    with pytest.raises(ValueError, match="not whole user/assistant pairs"):
+        render_history(session, BUDGET)
+
+
 def test_render_history_pinned_over_budget_is_an_error():
     session = Session(pinned=ChatMessage("system", "x" * 40))
     with pytest.raises(TokenLimitError):
@@ -176,6 +182,73 @@ def test_scripted_backend_matches_last_user_message():
         ChatMessage("user", "latest"),
     ]
     assert backend.generate(messages, PARAMS) == "ok"
+
+
+def _reference_generate(entries, consumed, prompt, call_index):
+    """Linear first match: the first unconsumed entry, in script order."""
+    for index, entry in enumerate(entries):
+        if not consumed[index] and entry.matches(prompt, call_index):
+            consumed[index] = True
+            return entry.response
+    return None
+
+
+SCRIPT_TEXTS = st.sampled_from(["a", "b", "ab", "ba", "c"])
+SCRIPT_ENTRIES = st.one_of(
+    st.builds(lambda text: {"exact": text}, SCRIPT_TEXTS),
+    st.builds(lambda text: {"contains": text}, SCRIPT_TEXTS),
+    st.builds(lambda step: {"step": step}, st.integers(min_value=1, max_value=12)),
+)
+
+
+@given(
+    matchers=st.lists(SCRIPT_ENTRIES, max_size=12),
+    prompts=st.lists(SCRIPT_TEXTS, max_size=12),
+)
+@settings(max_examples=300)
+def test_scripted_backend_replies_like_a_linear_first_match(matchers, prompts):
+    entries = [ScriptEntry(response=f"r{i}", **m) for i, m in enumerate(matchers)]
+    backend = ScriptedBackend(entries)
+    consumed = [False] * len(entries)
+    for call_index, prompt in enumerate(prompts, start=1):
+        expected = _reference_generate(entries, consumed, prompt, call_index)
+        if expected is None:
+            with pytest.raises(ScriptExhaustedError):
+                backend.generate([ChatMessage("user", prompt)], PARAMS)
+        else:
+            assert backend.generate([ChatMessage("user", prompt)], PARAMS) == expected
+        assert [e.consumed for e in entries] == consumed
+
+
+def test_scripted_backend_does_bounded_work_per_call_on_an_in_order_script():
+    looks = [0]
+
+    class CountedEntry(ScriptEntry):
+        """A script entry that counts how often the backend reads its state."""
+
+        __slots__ = ("_consumed",)
+
+        @property
+        def consumed(self):
+            looks[0] += 1
+            return self._consumed
+
+        @consumed.setter
+        def consumed(self, value):
+            self._consumed = value
+
+    entries = [CountedEntry(response=f"r{i}", exact=f"p{i}") for i in range(200)]
+    backend = ScriptedBackend(entries)
+    spy = mock.patch.object(
+        ScriptEntry, "matches", autospec=True, side_effect=ScriptEntry.matches
+    )
+    with spy as matches:
+        for i in range(200):
+            looks[0], calls_before = 0, matches.call_count
+            assert backend.generate([ChatMessage("user", f"p{i}")], PARAMS) == f"r{i}"
+            assert matches.call_count - calls_before == 1
+            assert looks[0] <= 3
+    assert all(entry.consumed for entry in entries)
 
 
 def test_script_entry_requires_exactly_one_matcher():

@@ -394,6 +394,21 @@ def test_the_phrase_memo_stays_bounded():
     assert info.currsize == PHRASE_MEMO_SIZE
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[9:56pm] Pick " + "1" * 4301 + " aspirin", "count has too many digits"),
+        ("[9:56pm] Deliver " + "1" * 4301 + " aspirin to the bedroom", "count has too many digits"),
+        ("[9:56pm] Wait " + "1" * 4301 + " minutes", "minute count has too many digits"),
+    ],
+    ids=["pick", "deliver", "wait"],
+)
+def test_a_count_too_long_to_read_is_refused_in_the_grammars_words(line, reason):
+    with pytest.raises(PlanParseError) as raised:
+        parse_plan(line)
+    assert raised.value.reason == reason
+
+
 def test_a_quantity_is_a_decimal_number():
     # "²" is a digit to str.isdigit, but int() cannot read it.
     assert _parse_phrase("Pick ² aspirin") == Pick("² aspirin", 1)

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aptbot.clock import parse_clock
 from aptbot.plan import normalize, parse_plan
@@ -6,15 +10,21 @@ from aptbot.prompts import (
     CLASSIFY_DESCRIPTION,
     CLASSIFY_EXAMPLE,
     FEW_SHOT_SCAFFOLD,
+    GOAL_SLOT_DESCRIPTION,
+    GOAL_SLOT_EXAMPLE,
     ZERO_SHOT_SCAFFOLD,
     GoalSlotError,
     RequestType,
+    ScaffoldMarkerError,
+    _SLOT_RES,
     build_few_shot_prompt,
     build_zero_shot_prompt,
+    classify_prompt,
     classify_request,
     context_aware_description,
     default_templates,
     extract_option,
+    goal_prompt,
     news_fixture_prompts,
     parse_goal_slots,
 )
@@ -89,6 +99,63 @@ def test_prompt_slots_reject_scaffold_markers():
         build_few_shot_prompt("has {0} inside", "ex", "q")
     with pytest.raises(ValueError):
         build_zero_shot_prompt("desc", "q with {2}")
+
+
+QUESTIONS = st.lists(
+    st.sampled_from(["{0}", "{1}", "{2}", "{", "}", "{}", "0", "bring ", "é"])
+    | st.text(max_size=4)
+).map("".join)
+
+
+@given(QUESTIONS)
+@example("bring water")
+@example("see {1} and {0}")
+@example("{2")
+def test_fixture_prompts_equal_the_formatted_scaffold(question):
+    for prompt, description, examples in (
+        (classify_prompt, CLASSIFY_DESCRIPTION, CLASSIFY_EXAMPLE),
+        (goal_prompt, GOAL_SLOT_DESCRIPTION, GOAL_SLOT_EXAMPLE),
+    ):
+        try:
+            expected = build_few_shot_prompt(description, examples, question)
+        except ScaffoldMarkerError as exc:
+            with pytest.raises(ScaffoldMarkerError) as raised:
+                prompt(question)
+            assert str(raised.value) == str(exc)
+        else:
+            assert expected == FEW_SHOT_SCAFFOLD.format(description, examples, question)
+            assert prompt(question) == expected
+
+
+# The slot patterns before they started with the key's text.
+WORD_BOUNDARY_SLOT_RES = {
+    key: re.compile(rf"\b{key}\s*=\s*([^;\n]+)") for key in _SLOT_RES
+}
+
+
+@given(
+    before=st.lists(
+        st.sampled_from(
+            ["", "a", "7", "_", "é", "ж", "٣", "²", ";", " ", "-", "=", "\n", "xitem"]
+        )
+        | st.text(max_size=3)
+    ).map("".join),
+    key=st.sampled_from(sorted(_SLOT_RES)),
+    after=st.sampled_from(["=aspirin", " = 2; room=kitchen", "=", "s=1", "=\n", ""])
+    | st.text(max_size=6),
+    tail=st.text(max_size=20),
+)
+@example(before="", key="item", after="=aspirin", tail="")
+@example(before="x", key="item", after="=aspirin", tail="; item=water")
+@example(before="é", key="room", after="=kitchen", tail=" room=bedroom")
+def test_slot_search_finds_what_a_leading_word_boundary_found(before, key, after, tail):
+    text = before + key + after + tail
+    for name, pattern in _SLOT_RES.items():
+        found = pattern.search(text)
+        reference = WORD_BOUNDARY_SLOT_RES[name].search(text)
+        assert (found and (found.span(), found.group(1))) == (
+            reference and (reference.span(), reference.group(1))
+        )
 
 
 def test_braces_in_slot_text_are_safe():
