@@ -47,17 +47,6 @@ class Session(Record):
     def __init__(self, pinned: ChatMessage | None = None, turns: list[ChatMessage] | None = None):
         self.pinned, self.turns = pinned, [] if turns is None else turns
 
-    def append_pair(self, user_text: str, assistant_text: str) -> None:
-        self.turns.append(ChatMessage("user", user_text))
-        self.turns.append(ChatMessage("assistant", assistant_text))
-
-    def pairs(self) -> list[tuple[ChatMessage, ChatMessage]]:
-        if len(self.turns) % 2 != 0:
-            raise ValueError("session turns are not whole user/assistant pairs")
-        return [
-            (self.turns[i], self.turns[i + 1]) for i in range(0, len(self.turns), 2)
-        ]
-
 
 class GenerationParams(Record, frozen=True):
     __slots__ = ("temperature", "max_output_tokens", "model_name")

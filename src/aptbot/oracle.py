@@ -5,8 +5,8 @@ at once. Enumerates every ordering of the goal's pickup/fill waypoints
 (factorial, capped at 8), builds the earliest-feasible schedule for each,
 then shifts the whole schedule so the delivery completes as close to the
 target time as the window allows. A goal that needs more item kinds than
-the arm carries is refused, though a plan of several trips may meet it. Never called on the production path; the model is
-the planner there.
+the arm carries is refused, though a plan of several trips may meet it.
+Never called on the production path; the model is the planner there.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .clock import MINUTES_PER_DAY
-from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
+from .plan import Action, ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
 from .validator import DurationModel, Goal, goal_waypoints, item_totals, start_run
 from .world import WorldModel, travel_time
 
@@ -24,68 +24,47 @@ MAX_WAYPOINTS = 8
 def _build(
     world: WorldModel,
     goal: Goal,
-    durations: DurationModel,
     start: tuple[str, int],
-    order: tuple[tuple[str, str, int, str], ...],
-    docked: bool,
+    stops: tuple[tuple[str, str | None, tuple[tuple[Action, int], ...]], ...],
+    moves: dict[str, Move],
     deliver: Deliver | None,
 ) -> tuple[ActionPlan, int | None, int] | None:
-    """Earliest-feasible chain for one waypoint order, shifted toward the target.
+    """Earliest-feasible chain through `stops`, shifted toward the target.
 
-    Returns (plan, delivery_completion, plan_completion) or None when the
-    order cannot meet the deadline window or runs past midnight. `deliver`
-    is the goal's one delivery, None when it delivers nothing.
+    Each stop is (room, item, steps): the arm moves to the room, unless it is
+    there, then takes each (action, minutes) step. Returns (plan,
+    delivery_completion, plan_completion) or None when the chain cannot meet
+    the deadline window or runs past midnight. `deliver` is the goal's one
+    delivery, None when it delivers nothing.
     """
-    # The minutes below repeat `validator.check`'s durations on purpose: a
-    # chain built on the validator's run state (`start_run`, `apply`) made
-    # the reference-answers benchmark's p90 22-35 % slower.
-    room, clock = start
-    actions: list[TimedAction] = []
-    current, t = room, clock
-
-    def move_to(dest: str) -> None:
-        nonlocal current, t, docked
-        if dest == current:
-            return
-        actions.append(TimedAction(t, Move(dest)))
-        t += travel_time(world, current, dest)
-        current, docked = dest, False
-
-    for wp_room, item, qty, kind in order:
-        move_to(wp_room)
-        if kind == "water_cooler":
-            for _ in range(qty):
-                actions.append(TimedAction(t, Fill("glass", item)))
-                t += durations.fill_min
-        else:
-            actions.append(TimedAction(t, Pick(item, qty)))
-            t += durations.pick_min
-
-    delivery_completion = None
-    if deliver is not None:
-        move_to(deliver.dest)
-        actions.append(TimedAction(t, deliver))
-        t += durations.deliver_min
-        delivery_completion = t
-
-    if not docked:
-        move_to(world.charging_room)
-        actions.append(TimedAction(t, Dock()))
-        t += durations.dock_min
-        actions.append(TimedAction(t, Charge()))
+    # The minutes below repeat `validator.check`'s durations on purpose:
+    # building every order's chain on the validator's run state (`start_run`,
+    # `apply`) made the reference-answers benchmark's p90 22-35 % slower.
+    # Building only the chosen order that way waits for ROADMAP item 8.
+    current, t = start
+    timeline: list[tuple[int, Action]] = []  # (unshifted start, action)
+    delivery = None
+    for room, _, steps in stops:
+        if room != current:
+            timeline.append((t, moves[room]))
+            t += travel_time(world, current, room)
+            current = room
+        for action, minutes in steps:
+            timeline.append((t, action))
+            t += minutes
+            if action is deliver:
+                delivery = t
 
     shift = 0
-    if delivery_completion is not None:
-        if delivery_completion > goal.target_time + goal.tolerance:
+    if delivery is not None:
+        if delivery > goal.target_time + goal.tolerance:
             return None  # already too late; shifting only delays further
-        shift = max(0, goal.target_time - delivery_completion)
+        shift = max(0, goal.target_time - delivery)
+        delivery += shift
     if t + shift >= MINUTES_PER_DAY:
         return None
-    if shift:
-        actions = [TimedAction(a.start + shift, a.action) for a in actions]
-        if delivery_completion is not None:
-            delivery_completion += shift
-    return ActionPlan(tuple(actions)), delivery_completion, t + shift
+    plan = ActionPlan(tuple([TimedAction(minute + shift, action) for minute, action in timeline]))
+    return plan, delivery, t + shift
 
 
 def _candidates(
@@ -95,28 +74,41 @@ def _candidates(
     start: tuple[str, int],
     start_docked: bool,
 ) -> list[tuple[tuple[str, ...], tuple[str, ...], ActionPlan, int | None, int]]:
-    """All feasible orderings as (rooms, items, plan, delivery, completion)."""
+    """All feasible orderings as (rooms, items, plan, delivery, completion),
+    in no set order."""
     waypoints = sorted(goal_waypoints(world, goal))
     if len(waypoints) > MAX_WAYPOINTS:
         raise ValueError(f"too many waypoints: {len(waypoints)} > {MAX_WAYPOINTS}")
     kinds = len({item for _, item, _, _ in waypoints})
     if kinds > world.capacity:  # one trip carries every item to the destination
         raise ValueError(f"goal needs {kinds} item kinds at once, capacity is {world.capacity}")
-    docked = start_run(world, start[0], start_docked, start[1]).docked
+    # Every order is built from the same stops; records are immutable, so
+    # the plans share them. One waypoint per item, so the orders are distinct.
+    stops = []
+    for room, item, qty, kind in waypoints:
+        if kind == "water_cooler":
+            steps = ((Fill("glass", item), durations.fill_min),) * qty
+        else:
+            steps = ((Pick(item, qty), durations.pick_min),)
+        stops.append((room, item, steps))
     # One line per item with its total, though the goal may name an item twice.
     deliver = None
+    tail = ()  # the stops after the waypoints, the same in every order
     if goal.deliveries:
         deliver = Deliver(tuple(item_totals(goal.deliveries).items()), goal.destination)
+        tail = ((goal.destination, None, ((deliver, durations.deliver_min),)),)
+    # The arm stays docked only if no stop leaves the start room, in any order.
+    docked = start_run(world, start[0], start_docked, start[1]).docked
+    if not docked or any(room != start[0] for room, _, _ in (*stops, *tail)):
+        tail += ((world.charging_room, None, ((Dock(), durations.dock_min), (Charge(), 0))),)
+    moves = {room: Move(room) for room, _, _ in (*stops, *tail)}
     out = []
-    for order in dict.fromkeys(permutations(waypoints)):  # each distinct order once
-        built = _build(world, goal, durations, start, order, docked, deliver)
-        if built is None:
-            continue
-        plan, delivery, completion = built
-        rooms = tuple(wp[0] for wp in order)
-        items = tuple(wp[1] for wp in order)
-        out.append((rooms, items, plan, delivery, completion))
-    out.sort(key=lambda c: (c[0], c[1]))
+    for order in permutations(stops):
+        built = _build(world, goal, start, order + tail, moves, deliver)
+        if built is not None:
+            rooms = tuple(stop[0] for stop in order)
+            items = tuple(stop[1] for stop in order)
+            out.append((rooms, items, *built))
     return out
 
 
@@ -129,8 +121,10 @@ def enumerate_feasible(
     start_docked: bool = False,
 ) -> list[ActionPlan]:
     """Every waypoint ordering whose one-trip plan admits a valid schedule,
-    canonical form."""
-    return [plan for _, _, plan, _, _ in _candidates(world, goal, durations, start, start_docked)]
+    canonical form, sorted by the order's rooms, then its items."""
+    candidates = _candidates(world, goal, durations, start, start_docked)
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    return [plan for _, _, plan, _, _ in candidates]
 
 
 def plan_oracle(
@@ -142,7 +136,8 @@ def plan_oracle(
     start_docked: bool = False,
 ) -> ActionPlan:
     """Best feasible one-trip plan: delivery closest to the target, ties
-    broken by earlier completion, then lexicographic room order."""
+    broken by earlier completion, then by the order's rooms, then its items.
+    Rooms and items name the order, so no two candidates tie."""
     candidates = _candidates(world, goal, durations, start, start_docked)
     if not candidates:
         raise ValueError("no waypoint ordering fits the deadline window")

@@ -125,9 +125,10 @@ _VERB_RE = re.compile(
 )
 
 
-def _read_count(digits: str, what: str) -> int:
-    """Decimal digits as an int. By default int() refuses more than 4,300 of
-    them in its own words, which must not reach the model as a plan's fault."""
+def read_count(digits: str, what: str) -> int:
+    """Decimal digits (`str.isdecimal`) as an int, for plan counts, Wait
+    minutes and goal `qty`. By default int() refuses more than 4,300 of them
+    in its own words, which must not reach the model as a plan's fault."""
     try:
         return int(digits)
     except ValueError:
@@ -139,7 +140,7 @@ def _parse_qty_item(text: str) -> tuple[str, int]:
     words = text.strip().lower().split()
     qty = 1
     if words and words[0].isdecimal():  # what int() reads; "²" is a digit, not decimal
-        qty = _read_count(words.pop(0), "count")
+        qty = read_count(words.pop(0), "count")
     elif words and words[0] in _WORD_NUMBERS:
         qty = _WORD_NUMBERS[words.pop(0)]
     while len(words) > 1 and words[0] in ("a", "an", "the"):
@@ -162,7 +163,7 @@ def _parse_phrase(phrase: str) -> Action:
     if verb == "charge":
         return Charge()
     if verb == "wait":
-        minutes = _read_count(m.group("n"), "minute count")
+        minutes = read_count(m.group("n"), "minute count")
         if minutes < 1:
             raise ValueError("wait must be at least one minute")
         return Wait(minutes)

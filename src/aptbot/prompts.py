@@ -18,7 +18,7 @@ import enum
 import re
 
 from .clock import parse_clock, ClockParseError
-from .plan import room_id, room_text
+from .plan import read_count, room_id, room_text
 from .record import Record
 from .validator import Goal
 from .world import WorldModel
@@ -165,10 +165,12 @@ def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
         if m is None:
             raise GoalSlotError(f"missing slot {key!r}", text)
         values[key] = m.group(1).strip()
+    if not values["qty"].isdecimal():  # as a plan count: no sign, no "_"
+        raise GoalSlotError("qty is not an integer", text)
     try:
-        qty = int(values["qty"])
-    except ValueError:
-        raise GoalSlotError("qty is not an integer", text) from None
+        qty = read_count(values["qty"], "qty")
+    except ValueError as exc:
+        raise GoalSlotError(str(exc), text) from None
     if qty < 1:
         raise GoalSlotError("qty must be positive", text)
     try:

@@ -344,8 +344,9 @@ def test_criterion_6_memory_contract():
                     "system", "s" * rng.randint(0, 40)
                 )
             for _ in range(rng.randint(0, 10)):
-                session.append_pair(
-                    "u" * rng.randint(0, 50), "a" * rng.randint(0, 50)
+                session.turns += (
+                    ChatMessage("user", "u" * rng.randint(0, 50)),
+                    ChatMessage("assistant", "a" * rng.randint(0, 50)),
                 )
             pinned_cost = (
                 count_tokens(session.pinned.content) if session.pinned else 0
@@ -365,7 +366,7 @@ def test_criterion_6_memory_contract():
                 assert session.turns[-len(body):] == body
             dropped = (len(session.turns) - len(body)) // 2
             if dropped:
-                user_msg, assistant_msg = session.pairs()[dropped - 1]
+                user_msg, assistant_msg = session.turns[2 * dropped - 2 : 2 * dropped]
                 next_cost = count_tokens(user_msg.content) + count_tokens(
                     assistant_msg.content
                 )

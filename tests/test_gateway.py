@@ -48,18 +48,10 @@ def test_generation_params_validation():
     assert GenerationParams().model_name == "gpt-4"
 
 
-def test_session_pairs():
-    session = Session()
-    session.append_pair("q1", "a1")
-    session.append_pair("q2", "a2")
-    pairs = session.pairs()
-    assert [(u.content, a.content) for u, a in pairs] == [("q1", "a1"), ("q2", "a2")]
-
-
 def test_render_history_keeps_pinned_and_newest_pairs():
     session = Session(pinned=ChatMessage("system", "sys1"))
-    session.append_pair("old" * 10, "old" * 10)
-    session.append_pair("new1", "new2")
+    session.turns += (ChatMessage("user", "old" * 10), ChatMessage("assistant", "old" * 10))
+    session.turns += (ChatMessage("user", "new1"), ChatMessage("assistant", "new2"))
     budget = count_tokens("sys1") + count_tokens("new1") + count_tokens("new2")
     messages = render_history(session, budget)
     assert [m.content for m in messages] == ["sys1", "new1", "new2"]
@@ -67,7 +59,7 @@ def test_render_history_keeps_pinned_and_newest_pairs():
 
 def test_render_history_never_splits_a_pair():
     session = Session()
-    session.append_pair("aaaa", "bbbb")
+    session.turns += (ChatMessage("user", "aaaa"), ChatMessage("assistant", "bbbb"))
     messages = render_history(session, count_tokens("aaaa"))
     assert messages == []
 
@@ -404,7 +396,10 @@ def sessions_and_budgets(draw):
         session.pinned = ChatMessage("system", draw(st.text(max_size=30)))
     n_pairs = draw(st.integers(min_value=0, max_value=8))
     for _ in range(n_pairs):
-        session.append_pair(draw(st.text(max_size=30)), draw(st.text(max_size=30)))
+        session.turns += (
+            ChatMessage("user", draw(st.text(max_size=30))),
+            ChatMessage("assistant", draw(st.text(max_size=30))),
+        )
     pinned_cost = count_tokens(session.pinned.content) if session.pinned else 0
     budget = draw(st.integers(min_value=pinned_cost, max_value=pinned_cost + 100))
     return session, budget

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
-from aptbot.clock import parse_clock
+import aptbot.oracle
+from aptbot.clock import MINUTES_PER_DAY, parse_clock
 from aptbot.oracle import enumerate_feasible, plan_oracle
-from aptbot.plan import Charge, Deliver, Dock, Fill, serialize_plan
+from aptbot.plan import Charge, Deliver, Dock, Fill, TimedAction, serialize_plan
 from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
 from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN, small_world
+from oracle_reference import reference_enumerate_feasible, reference_plan_oracle
 
 START = ("living_room", parse_clock("9:56pm"))
 
@@ -193,3 +196,99 @@ def test_oracle_plans_validate_and_execute_in_small_worlds():
         log = execute(plan, world, ZArmState(location=start_room, docked=docked), DurationModel())
         assert log.outcome == COMPLETED, (serialize_plan(plan), log.events[-1].line())
     assert refused > 50 and planned > 50, (refused, planned)
+
+
+def _outcome(planner, *args, **kwargs):
+    """A planner's answer, or the type and text of its refusal."""
+    try:
+        return planner(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_oracle_equals_the_reference_oracle_on_random_worlds():
+    """Same best plan or refusal, and the same feasible plans in order, as
+    the permutation oracle that built each plan twice (`oracle_reference`)."""
+    rng = random.Random(22)
+    seen = Counter()
+    for _ in range(800):
+        rooms = [f"room{i}" for i in range(rng.randint(2, 5))]
+        travel = {
+            f"{a},{b}": rng.randint(0, 6) for i, a in enumerate(rooms) for b in rooms[i + 1 :]
+        }
+        late = rng.random() < 0.3
+        clock = rng.randint(1380, 1430) if late else rng.randint(360, 1320)
+        world = world_from_config({
+            "rooms": rooms,
+            "travel": travel,
+            "facilities": [
+                {"kind": "charging_port", "location": rng.choice(rooms)},
+                {"kind": "water_cooler", "location": rng.choice(rooms),
+                 "stock": {"water": None, "glass": None}},
+                {"kind": "medicine_box", "location": rng.choice(rooms),
+                 "stock": {"aspirin": 3, "ibuprofen": 3}},
+                {"kind": "fridge", "location": rng.choice(rooms), "stock": {"juice": 2}},
+            ],
+            "clock_start": clock,
+            "capacity": rng.randint(1, 4),
+        })
+        kinds = rng.choices(range(5), weights=(1, 3, 3, 3, 3))[0]
+        items = rng.sample(["water", "glass", "aspirin", "ibuprofen", "juice"], kinds)
+        if items and rng.random() < 0.2:
+            items.append(items[0])  # named twice: one waypoint with the total
+        deliveries = tuple(
+            (item, rng.randint(1, 3 if item in ("water", "glass") else 2)) for item in items
+        )
+        destination = world.charging_room if rng.random() < 0.25 else rng.choice(rooms)
+        if late:  # near midnight: shifting onto the target may run past it
+            target = rng.randint(clock, MINUTES_PER_DAY - 1)
+        else:  # sometimes earlier than any order can deliver
+            target = clock + rng.randint(0, 40)
+        goal = Goal(deliveries, destination, target, rng.randint(0, 5))
+        docked = rng.random() < 0.4
+        start = (world.charging_room if docked else rng.choice(rooms), clock)
+        durations = DurationModel(*(rng.randint(0, 2) for _ in range(4)))
+        args = (world, goal, durations, start)
+
+        best = _outcome(plan_oracle, *args, start_docked=docked)
+        assert best == _outcome(reference_plan_oracle, *args, start_docked=docked)
+        feasible = _outcome(enumerate_feasible, *args, start_docked=docked)
+        assert feasible == _outcome(reference_enumerate_feasible, *args, start_docked=docked)
+
+        seen["multi-unit fill"] += any(
+            item in ("water", "glass") and qty > 1 for item, qty in deliveries
+        )
+        seen["docked start"] += docked
+        seen["delivered to the port"] += destination == world.charging_room
+        seen["near midnight"] += late
+        if not isinstance(best, tuple):
+            seen["planned"] += 1
+        elif best[1] == "no waypoint ordering fits the deadline window":
+            seen["no order fits"] += 1
+            # No order is too late for this tolerance, so only midnight refuses.
+            patient = Goal(deliveries, destination, target, MINUTES_PER_DAY)
+            seen["refused at midnight"] += isinstance(
+                _outcome(plan_oracle, world, patient, durations, start, start_docked=docked), tuple
+            )
+    for case in (
+        "multi-unit fill", "docked start", "delivered to the port", "near midnight", "planned",
+        "no order fits", "refused at midnight",
+    ):
+        assert seen[case] >= 10, seen
+
+
+def test_each_plan_is_built_once(world, medication_goal, monkeypatch):
+    # A target long after the earliest delivery shifts every order's plan.
+    goal = Goal(medication_goal.deliveries, "living_room", parse_clock("10:45pm"))
+    feasible = enumerate_feasible(world, goal, DurationModel(), START, start_docked=True)
+    assert len(feasible) == 2
+    built = 0
+
+    def counting(start, action):
+        nonlocal built
+        built += 1
+        return TimedAction(start, action)
+
+    monkeypatch.setattr(aptbot.oracle, "TimedAction", counting)
+    plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+    assert built == sum(len(plan.actions) for plan in feasible)

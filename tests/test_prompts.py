@@ -246,6 +246,31 @@ def test_parse_goal_slots_rejects_malformed(bad):
     assert exc_info.value.raw == bad
 
 
+@pytest.mark.parametrize(
+    "qty, reason",
+    [
+        ("1_0", "qty is not an integer"),  # int() reads 10; a plan count does not
+        ("+2", "qty is not an integer"),
+        ("-1", "qty is not an integer"),
+        ("a few", "qty is not an integer"),
+        pytest.param("1" * 4301, "qty has too many digits", id="4301-digits"),
+        ("0", "qty must be positive"),
+    ],
+)
+def test_goal_qty_is_refused_where_a_plan_count_is(qty, reason):
+    line = f"item=aspirin; qty={qty}; companion=none; time=10:00pm; room=bedroom"
+    with pytest.raises(GoalSlotError) as exc_info:
+        parse_goal_slots(line)
+    assert exc_info.value.reason == reason
+    assert exc_info.value.raw == line
+
+
+def test_goal_qty_reads_decimal_digits_as_a_plan_count_does():
+    line = "item=aspirin; qty=\u0662; companion=none; time=10:00pm; room=bedroom"
+    assert parse_goal_slots(line).deliveries == (("aspirin", 2),)
+    assert parse_plan("[9:56pm] Pick \u0662 aspirin").actions[0].action.qty == 2
+
+
 def test_default_templates_cover_every_known_type(world):
     templates = default_templates(world)
     for req_type in RequestType:
