@@ -196,6 +196,8 @@ class ScriptedBackend:
                 raise ValueError(f"script entry {i} has unknown matcher {key!r}")
             if type(value) is not kind:
                 raise ValueError(f"script entry {i} {key} must be {kind.__name__}, got {value!r}")
+            if key == "step" and value < 1:  # call indices are one-based
+                raise ValueError(f"script entry {i} step must be at least 1, got {value}")
             if not isinstance(raw["response"], str):
                 raise ValueError(f"script entry {i} response must be a string")
             entries.append(ScriptEntry(response=raw["response"], **{key: value}))

@@ -1,11 +1,11 @@
 """Brute-force baseline planner used as ground truth in tests.
 
 Plans one trip: every item is picked up or filled, then all are delivered
-at once. Enumerates every ordering of the goal's pickup/fill waypoints
-(factorial, capped at 8), builds the earliest-feasible schedule for each,
-then shifts the whole schedule so the delivery completes as close to the
-target time as the window allows. A goal that needs more item kinds than
-the arm carries is refused, though a plan of several trips may meet it.
+at once. Walks every ordering of the goal's pickup/fill waypoints
+(factorial, capped at 8), builds each one's earliest-feasible schedule,
+shifted so the delivery completes as close to the target time as the window
+allows, and returns the one best plan. A goal that needs more item kinds
+than the arm carries is refused, though a plan of several trips may meet it.
 Never called on the production path; the model is the planner there.
 """
 
@@ -40,7 +40,9 @@ def _build(
     # The minutes below repeat `validator.check`'s durations on purpose:
     # building every order's chain on the validator's run state (`start_run`,
     # `apply`) made the reference-answers benchmark's p90 22-35 % slower.
-    # Building only the chosen order that way waits for ROADMAP item 8.
+    # Ranking orders first and building only the chosen one waits for
+    # ROADMAP item 6a: it runs so many more benchmark executions that
+    # `peak_rss_mb` rose 14-24 %, as `bench/worker.py` keeps every timing.
     current, t = start
     timeline: list[tuple[int, Action]] = []  # (unshifted start, action)
     delivery = None
@@ -67,15 +69,17 @@ def _build(
     return plan, delivery, t + shift
 
 
-def _candidates(
+def plan_oracle(
     world: WorldModel,
     goal: Goal,
     durations: DurationModel,
     start: tuple[str, int],
-    start_docked: bool,
-) -> list[tuple[tuple[str, ...], tuple[str, ...], ActionPlan, int | None, int]]:
-    """All feasible orderings as (rooms, items, plan, delivery, completion),
-    in no set order."""
+    *,
+    start_docked: bool = False,
+) -> ActionPlan:
+    """Best feasible one-trip plan: delivery closest to the target, ties
+    broken by earlier completion, then by the order's rooms, then its items.
+    Rooms and items name the order, so no two orders tie."""
     waypoints = sorted(goal_waypoints(world, goal))
     if len(waypoints) > MAX_WAYPOINTS:
         raise ValueError(f"too many waypoints: {len(waypoints)} > {MAX_WAYPOINTS}")
@@ -102,49 +106,18 @@ def _candidates(
     if not docked or any(room != start[0] for room, _, _ in (*stops, *tail)):
         tail += ((world.charging_room, None, ((Dock(), durations.dock_min), (Charge(), 0))),)
     moves = {room: Move(room) for room, _, _ in (*stops, *tail)}
-    out = []
+    best = best_rank = None
     for order in permutations(stops):
         built = _build(world, goal, start, order + tail, moves, deliver)
-        if built is not None:
-            rooms = tuple(stop[0] for stop in order)
-            items = tuple(stop[1] for stop in order)
-            out.append((rooms, items, *built))
-    return out
-
-
-def enumerate_feasible(
-    world: WorldModel,
-    goal: Goal,
-    durations: DurationModel,
-    start: tuple[str, int],
-    *,
-    start_docked: bool = False,
-) -> list[ActionPlan]:
-    """Every waypoint ordering whose one-trip plan admits a valid schedule,
-    canonical form, sorted by the order's rooms, then its items."""
-    candidates = _candidates(world, goal, durations, start, start_docked)
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return [plan for _, _, plan, _, _ in candidates]
-
-
-def plan_oracle(
-    world: WorldModel,
-    goal: Goal,
-    durations: DurationModel,
-    start: tuple[str, int],
-    *,
-    start_docked: bool = False,
-) -> ActionPlan:
-    """Best feasible one-trip plan: delivery closest to the target, ties
-    broken by earlier completion, then by the order's rooms, then its items.
-    Rooms and items name the order, so no two candidates tie."""
-    candidates = _candidates(world, goal, durations, start, start_docked)
-    if not candidates:
-        raise ValueError("no waypoint ordering fits the deadline window")
-
-    def rank(c):
-        rooms, items, _plan, delivery, completion = c
+        if built is None:
+            continue
+        plan, delivery, completion = built
         closeness = abs(delivery - goal.target_time) if delivery is not None else 0
-        return (closeness, completion, rooms, items)
-
-    return min(candidates, key=rank)[2]
+        rooms = tuple(stop[0] for stop in order)
+        items = tuple(stop[1] for stop in order)
+        rank = (closeness, completion, rooms, items)
+        if best is None or rank < best_rank:
+            best, best_rank = plan, rank
+    if best is None:
+        raise ValueError("no waypoint ordering fits the deadline window")
+    return best

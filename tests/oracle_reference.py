@@ -4,7 +4,9 @@ A test-side reference for `aptbot.oracle`: `_build`, `_candidates` and the
 rank are copied verbatim from that version. It builds each order's chain and
 then a shifted copy of it, sorts every candidate by rooms and items, and lets
 `plan_oracle`'s rank pick the best. `tests/test_oracle.py` checks that the
-oracle's plans, refusals and enumerations equal this one's.
+oracle's plans and refusals equal this one's. The oracle returns only its
+best plan, so the listing of every feasible plan, in order, lives here alone
+(`reference_enumerate_feasible`).
 """
 
 from __future__ import annotations

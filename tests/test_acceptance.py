@@ -28,7 +28,7 @@ from aptbot.gateway import (
     count_tokens,
     render_history,
 )
-from aptbot.oracle import enumerate_feasible, plan_oracle
+from aptbot.oracle import plan_oracle
 from aptbot.plan import (
     ActionPlan,
     Charge,
@@ -54,6 +54,7 @@ from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, validate
 from aptbot.world import ZArmState, world_from_config
 from conftest import CANONICAL_PLAN, GOLDEN_DIR, SCENARIO_PATH, child_env
+from oracle_reference import reference_enumerate_feasible
 from stub_server import StubChatServer
 
 
@@ -158,7 +159,7 @@ def test_criterion_2_order_variance(world, medication_goal):
         assert outcome.status == FULFILLED
         assert outcome.event_log.outcome == COMPLETED
 
-        plans = enumerate_feasible(
+        plans = reference_enumerate_feasible(
             world, medication_goal, DurationModel(), start, start_docked=True
         )
         assert [serialize_plan(p) for p in plans] == [KITCHEN_FIRST, CANONICAL_PLAN]

@@ -137,6 +137,7 @@ BAD_SECTIONS = {
     "model-not-string": ("config", {"model": [1]}),
     "contains-not-string": ("script", [{"match": {"contains": 5}, "response": "(A)"}]),
     "step-not-int": ("script", [{"match": {"step": "x"}, "response": "(A)"}]),
+    "step-zero": ("script", [{"match": {"step": 0}, "response": "(A)"}]),
     "description-not-string": ("templates", {"a_take_medicine": {"description": 3}}),
     "description-with-marker": ("templates", {"a_take_medicine": {"description": "see {0}"}}),
     "examples-not-string": ("templates", {"a_take_medicine": {"examples": ["x"]}}),

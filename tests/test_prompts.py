@@ -271,6 +271,36 @@ def test_goal_qty_reads_decimal_digits_as_a_plan_count_does():
     assert parse_plan("[9:56pm] Pick \u0662 aspirin").actions[0].action.qty == 2
 
 
+# Each number reader, fed one digit's text; None where it reads no number.
+def _clock_hour(digit):
+    return parse_clock(f"{digit}:00pm") // 60 - 12
+
+
+def _wait_minutes(digit):
+    return parse_plan(f"[9:56pm] Wait {digit} minutes").actions[0].action.minutes
+
+
+def _plan_count(digit):
+    pick = parse_plan(f"[9:56pm] Pick {digit} aspirin").actions[0].action
+    return pick.qty if pick.item == "aspirin" else None  # else the digit is part of the item
+
+
+def _goal_qty(digit):
+    line = f"item=aspirin; qty={digit}; companion=none; time=10:00pm; room=bedroom"
+    return parse_goal_slots(line).deliveries[0][1]
+
+
+@pytest.mark.parametrize("read", [_clock_hour, _wait_minutes, _plan_count, _goal_qty])
+def test_every_number_reader_takes_decimal_digits_of_any_script_and_nothing_else(read):
+    for digit in ("3", "\u0663", "\uff13"):  # ASCII, Arabic-Indic and fullwidth three
+        assert read(digit) == 3
+    try:
+        read_superscript = read("\u00b2")  # a digit to str.isdigit, not a decimal
+    except ValueError:
+        read_superscript = None
+    assert read_superscript is None
+
+
 def test_default_templates_cover_every_known_type(world):
     templates = default_templates(world)
     for req_type in RequestType:
