@@ -150,10 +150,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for violation in result.violations:
             print(violation.machine_line())
         return 1
-    for scheduled in result.schedule:
-        start = format_clock(scheduled.timed.start)
-        end = format_clock(scheduled.completion)
-        print(f"{start} -> {end}  {action_phrase(scheduled.timed.action)}")
+    for timed, end in zip(plan.actions, result.completions):
+        print(f"{format_clock(timed.start)} -> {format_clock(end)}  {action_phrase(timed.action)}")
     return 0
 
 

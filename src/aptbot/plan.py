@@ -125,14 +125,20 @@ _VERB_RE = re.compile(
 )
 
 
+MAX_DIGITS = 4_300  # int()'s default limit, kept where the interpreter's is higher or off
+
+
 def read_count(digits: str, what: str) -> int:
     """Decimal digits (`str.isdecimal`) as an int, for plan counts, Wait
-    minutes and goal `qty`. By default int() refuses more than 4,300 of them
-    in its own words, which must not reach the model as a plan's fault."""
+    minutes and goal `qty`. More than `MAX_DIGITS` of them, or more than the
+    interpreter reads, are refused in the grammar's words: int()'s own must
+    not reach the model as a plan's fault."""
     try:
-        return int(digits)
-    except ValueError:
-        raise ValueError(f"{what} has too many digits") from None
+        if len(digits) <= MAX_DIGITS:
+            return int(digits)
+    except ValueError:  # the interpreter's limit is below ours
+        pass
+    raise ValueError(f"{what} has too many digits")
 
 
 def _parse_qty_item(text: str) -> tuple[str, int]:

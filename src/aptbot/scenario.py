@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .agent import AgentConfig
 from .gateway import GenerationParams, ScriptedBackend
+from .plan import MAX_DIGITS
 from .prompts import RequestType, TemplateEntry, check_slots, default_templates
 from .record import Record
 from .validator import DurationModel
@@ -130,6 +131,14 @@ def parse_scenario(raw: dict) -> Scenario:
     return scenario
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, refused past `MAX_DIGITS` digits whatever the
+    interpreter's own limit, as plan counts are."""
+    if len(text) - text.startswith("-") > MAX_DIGITS:
+        raise ValueError("integer too long")
+    return int(text)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
@@ -137,7 +146,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
         # An escape such as "\ud800" decodes to a lone surrogate, which no
         # output file can hold: refuse it here, before any request runs.
         json.dumps(raw, ensure_ascii=False).encode("utf-8")
@@ -151,8 +160,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"scenario {path} holds text that cannot be encoded as UTF-8: {exc.reason}"
         ) from None
-    except ValueError:
-        # The only other refusal of json.loads: int() will not read an
-        # integer of more than 4,300 digits by default.
+    except ValueError:  # the only other refusal: an integer too long (`_json_int`)
         raise ScenarioError(f"scenario {path} holds an integer too long to read") from None
     return parse_scenario(raw)

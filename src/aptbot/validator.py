@@ -7,11 +7,13 @@ finds every problem one action would hit and its completion, and `apply`
 carries it out. The simulator runs the same three. Getting the arm to the
 room an action needs (`plan.required_room`) is `normalize`'s job, so a plan
 with an action elsewhere, or an unknown room or item, raises WorldError
-here: it was not normalized. The validator walks the whole plan once and
-reports every violation it finds, never just the first, as stable
-`VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
-faults with the first of them, so a problem has one wording. The deadline
-is checked inside that walk: it notes when the goal delivery completes.
+here: it was not normalized. The validator walks the whole plan once. It
+returns each action's completion minute, in plan order, when the plan is
+valid, and otherwise every violation it finds, never just the first, as
+stable `VIOLATION <kind> <fields>` lines the agent can feed back. The
+simulator faults with the first of them, so a problem has one wording. The
+deadline is checked inside that walk: it notes when the goal delivery
+completes.
 """
 
 from __future__ import annotations
@@ -112,19 +114,13 @@ def violation(kind: str, **fields: object) -> Violation:
     return Violation(kind, tuple(fields.items()))
 
 
-class ScheduledAction(Record):
-    __slots__ = ("timed", "completion")
-    def __init__(self, timed: TimedAction, completion: int):
-        self.timed, self.completion = timed, completion
-
-
 class ValidationResult(Record):
-    __slots__ = ("schedule", "violations", "delivered")
+    __slots__ = ("completions", "violations", "delivered")
     def __init__(
-        self, schedule: list[ScheduledAction] | None, violations: list[Violation] | None = None,
+        self, completions: list[int] | None, violations: list[Violation] | None = None,
         delivered: dict[str, dict[str, int]] | None = None,
     ):
-        self.schedule, self.violations = schedule, [] if violations is None else violations
+        self.completions, self.violations = completions, [] if violations is None else violations
         self.delivered = {} if delivered is None else delivered
 
     @property
@@ -262,7 +258,7 @@ def validate(
     *,
     start_docked: bool = False,
 ) -> ValidationResult:
-    """Check the whole plan and return either its schedule or every violation.
+    """Check the whole plan: each action's completion minute, or every violation.
 
     Reports each action's `check` problems, then goal coverage, the
     deadline window, and ending docked and charging. The plan must be
@@ -271,7 +267,7 @@ def validate(
     """
     start_room, clock = start
     violations: list[Violation] = []
-    schedule: list[ScheduledAction] = []
+    completions: list[int] = []
     run = start_run(world, start_room, start_docked, clock)
     goal_items = {item for item, _ in goal.deliveries}
     delivered_at = None  # completion of the last delivery of a goal item there
@@ -287,7 +283,7 @@ def validate(
             and any(item in goal_items for item, _ in action.items)
         ):
             delivered_at = completion
-        schedule.append(ScheduledAction(ta, completion))
+        completions.append(completion)
 
     got = run.delivered.get(goal.destination, {})
     missing = [
@@ -312,4 +308,4 @@ def validate(
     elif not run.charging:
         violations.append(violation("NotChargingAtEnd"))
 
-    return ValidationResult(None if violations else schedule, violations, run.delivered)
+    return ValidationResult(None if violations else completions, violations, run.delivered)

@@ -1,4 +1,5 @@
-"""The benchmark's span recorder wraps aptbot functions by name; keep them resolvable."""
+"""The benchmark calls aptbot and its span recorder wraps aptbot functions by
+name; keep both working."""
 
 import importlib
 import importlib.util
@@ -7,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import SCENARIO_PATH, child_env
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "bench" / "spans.py"
 
 # Run in a child process, so that the installed wrappers stay out of the
 # other tests: trace the medication request and print the aggregate.
@@ -75,3 +79,24 @@ def test_per_layer_counters_and_spans_see_a_traced_request():
         assert sums[counter] > 0, counter
     for span in ("plan.parse_plan", "plan.normalize", "validator.validate", "simulator.execute"):
         assert spans[span][0] > 0, span
+
+
+@pytest.mark.parametrize("workload", ["request_mix", "reference_answers"])
+def test_worker_runs_one_pass_of_each_in_process_workload(tmp_path, workload):
+    """One pass of `bench/worker.py` over seed 1's inputs fails no operation:
+    the calls the benchmark makes into aptbot still hold. Children write no
+    bytecode (`-B`), so nothing lands under `bench/`."""
+    inputs = tmp_path / f"{workload}.json"
+    write = "import gen, json, pathlib, sys; pathlib.Path(sys.argv[1]).write_text(json.dumps({}))"
+    subprocess.run(
+        [sys.executable, "-B", "-c", write.format(f"gen.{workload}(1)"), str(inputs)],
+        cwd=ROOT / "bench", env=child_env(), check=True, timeout=60,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "bench/worker.py", "run", workload, str(inputs), "0"],
+        cwd=ROOT, capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    assert result["ops"] == result["attempted"] > 0

@@ -214,6 +214,27 @@ def test_run_undecodable_scenario_exits_2(tmp_path, content):
     assert not (tmp_path / "out" / "request_001").exists()
 
 
+@pytest.mark.parametrize("case", ["plan-count", "scenario-integer"])
+def test_digit_bound_holds_whatever_the_interpreters_limit(tmp_path, case):
+    """An interpreter told to read integers of any length (limit 0) still
+    refuses the 4,301-digit count or integer, exactly as by default."""
+    if case == "plan-count":
+        path = tmp_path / "plan.txt"
+        path.write_text("[9:56pm] Pick " + "1" * 4301 + " aspirin")
+        args = ["validate", str(path), "--goal", GOAL]
+    else:
+        path = tmp_path / "long.scenario"
+        path.write_bytes(LONG_INTEGER_SCENARIO)
+        args = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "aptbot", *args], capture_output=True, text=True,
+        env={**child_env(), "PYTHONINTMAXSTRDIGITS": "0"}, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_run_unwritable_out_exits_2(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -228,10 +249,16 @@ def test_validate_ok_prints_schedule(tmp_path):
         "validate", str(GOLDEN_DIR / "plan.txt"), "--goal", GOAL
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "9:56pm -> 9:58pm  Move to the storeroom"
-    assert lines[-1] == "10:07pm -> 10:07pm  Start charging"
-    assert len(lines) == 8
+    assert proc.stdout.splitlines() == [
+        "9:56pm -> 9:58pm  Move to the storeroom",
+        "9:58pm -> 9:59pm  Pick 2 aspirin",
+        "9:59pm -> 10:01pm  Move to the kitchen",
+        "10:01pm -> 10:02pm  Fill glass with water",
+        "10:02pm -> 10:04pm  Move to the living room",
+        "10:04pm -> 10:05pm  Deliver 2 aspirin and 1 water to the living room",
+        "10:05pm -> 10:07pm  Dock at the charging port",
+        "10:07pm -> 10:07pm  Start charging",
+    ]
 
 
 def test_validate_empty_plan_reports_goal_unmet(tmp_path):
@@ -538,10 +565,10 @@ def _main_exit_code(argv):
         return main(argv)
 
 
-def _run_exit_code(scenario):
+def _run_exit_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.scenario"
-        path.write_text(json.dumps(scenario), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         return _main_exit_code(["run", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
 
 
@@ -557,20 +584,31 @@ def scenario_with_one_section(draw):
 
 
 @st.composite
-def medication_with_one_field_mutated(draw):
+def medication_with_one_field_mutated(draw, values=JSON_VALUES):
     scenario = copy.deepcopy(MEDICATION)
     *parents, last = draw(st.sampled_from(MEDICATION_PATHS))
     node = scenario
     for key in parents:
         node = node[key]
-    node[last] = draw(JSON_VALUES)
+    node[last] = draw(values)
     return scenario
 
 
-@given(scenario_with_one_section() | medication_with_one_field_mutated())
+# json.dumps refuses an int of 4,301 digits, so a marker string stands at the
+# drawn path and the literal is spliced into the text in its place.
+LONG_MARK = "a 4,301-digit integer"
+LONG_INTEGER_TEXT = medication_with_one_field_mutated(st.just(LONG_MARK)).map(
+    lambda scenario: json.dumps(scenario).replace(json.dumps(LONG_MARK), "1" * 4301)
+)
+
+
+@given(
+    (scenario_with_one_section() | medication_with_one_field_mutated()).map(json.dumps)
+    | LONG_INTEGER_TEXT
+)
 @settings(max_examples=150, deadline=None)
-def test_run_exit_code_is_0_1_or_2_for_any_scenario(scenario):
-    assert _run_exit_code(scenario) in (0, 1, 2)
+def test_run_exit_code_is_0_1_or_2_for_any_scenario(text):
+    assert _run_exit_code(text) in (0, 1, 2)
 
 
 GOLDEN_ACTIONS = [line.split("] ", 1)[1] for line in (GOLDEN_DIR / "plan.txt").read_text().splitlines()]

@@ -94,9 +94,9 @@ def test_late_target_shifts_plan_to_land_on_target(world):
     result = validate(best, world, goal, DurationModel(), START, start_docked=True)
     assert result.ok
     deliveries = [
-        s.completion
-        for s in result.schedule
-        if isinstance(s.timed.action, Deliver)
+        end
+        for ta, end in zip(best.actions, result.completions)
+        if isinstance(ta.action, Deliver)
     ]
     assert deliveries == [parse_clock("10:30pm")]
 

@@ -11,7 +11,6 @@ from aptbot.simulator import Event, EventLog
 from aptbot.validator import (
     DurationModel,
     Goal,
-    ScheduledAction,
     ValidationResult,
     Violation,
     start_run,
@@ -47,7 +46,6 @@ def _mutable_records():
     return [
         ZArmState("kitchen"),
         run,
-        ScheduledAction(TimedAction(600, Dock()), 602),
         ValidationResult(None),
         Event(600, "dock", "at the charging port"),
         EventLog([], run, "completed", {}),

@@ -50,16 +50,16 @@ def _plans(world, room, t, timed=()):
         yield from _plans(world, room_after, t + minutes, (*timed, TimedAction(t, action)))
 
 
-def _rank(result, goal, clock):
+def _rank(plan, result, goal, clock):
     """The oracle's rank of an accepted plan: how close its last goal delivery
     lands to the target, then when the plan completes."""
     items = {item for item, _ in goal.deliveries}
     done = [
-        s.completion for s in result.schedule
-        if type(s.timed.action) is Deliver and items & {item for item, _ in s.timed.action.items}
+        end for ta, end in zip(plan.actions, result.completions)
+        if type(ta.action) is Deliver and items & {item for item, _ in ta.action.items}
     ]
     closeness = abs(done[-1] - goal.target_time) if done else 0
-    return closeness, result.schedule[-1].completion if result.schedule else clock
+    return closeness, result.completions[-1] if result.completions else clock
 
 
 def test_every_small_plan_runs_as_judged_and_none_outranks_the_oracle():
@@ -81,7 +81,7 @@ def test_every_small_plan_runs_as_judged_and_none_outranks_the_oracle():
                 continue
             result = validate(plan, world, goal, DURATIONS, start, start_docked=True)
             assert result.ok, (room, goal, [v.machine_line() for v in result.violations])
-            best[goal] = _rank(result, goal, clock)
+            best[goal] = _rank(plan, result, goal, clock)
         away = next(a for a in ACTIONS if type(a) is not Move and required_room(a, world) != room)
         refused = ActionPlan((TimedAction(clock, away),))
         text = f"action needs room {required_room(away, world)!r}, arm is in {room!r}"
@@ -105,6 +105,6 @@ def test_every_small_plan_runs_as_judged_and_none_outranks_the_oracle():
                     seen["accepted"] += 1
                     assert log.final_state.delivered == result.delivered, plan
                     assert log.final_state.docked and log.final_state.charging, plan
-                    assert goal in best and _rank(result, goal, clock) >= best[goal], plan
+                    assert goal in best and _rank(plan, result, goal, clock) >= best[goal], plan
     assert seen["judged"] == 83_058, seen
     assert seen["accepted"] > 50 and seen["faulted"] > 1000, seen

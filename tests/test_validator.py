@@ -2,7 +2,7 @@ import pytest
 
 from aptbot.clock import parse_clock
 from aptbot.oracle import plan_oracle
-from aptbot.plan import normalize, parse_plan
+from aptbot.plan import Deliver, Pick, normalize, parse_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.validator import DurationModel, Goal, goal_waypoints, validate, violation
 from aptbot.world import WorldError, default_world, world_from_config
@@ -17,10 +17,11 @@ def _validate(text, world, goal, start=START, start_docked=True):
 
 
 def test_medication_plan_is_valid(world, medication_goal):
-    result = _validate(CANONICAL_PLAN, world, medication_goal)
+    plan = normalize(parse_plan(CANONICAL_PLAN), world, START[0])
+    result = validate(plan, world, medication_goal, DurationModel(), START, start_docked=True)
     assert result.ok
     assert result.violations == []
-    ends = [(s.timed.start, s.completion) for s in result.schedule]
+    ends = [(ta.start, end) for ta, end in zip(plan.actions, result.completions)]
     assert ends[0] == (parse_clock("9:56pm"), parse_clock("9:58pm"))
     assert ends[-2] == (parse_clock("10:05pm"), parse_clock("10:07pm"))
     assert ends[-1] == (parse_clock("10:07pm"), parse_clock("10:07pm"))
@@ -189,10 +190,11 @@ def test_empty_plan_without_dock_also_reports_not_docked(world, medication_goal)
 
 
 def test_deadline_boundary_accepts_five_minutes_late(world, medication_goal):
-    result = _validate(CANONICAL_PLAN, world, medication_goal)
+    plan = normalize(parse_plan(CANONICAL_PLAN), world, START[0])
+    result = validate(plan, world, medication_goal, DurationModel(), START, start_docked=True)
     assert result.ok
-    deliver = result.schedule[5]
-    assert deliver.completion == parse_clock("10:05pm")
+    assert type(plan.actions[5].action) is Deliver
+    assert result.completions[5] == parse_clock("10:05pm")
 
 
 def test_deadline_missed_past_tolerance(world, medication_goal):
@@ -277,7 +279,7 @@ def test_schedule_is_none_when_violations_exist(world, medication_goal):
     result = validate(
         plan, world, medication_goal, DurationModel(), START, start_docked=True
     )
-    assert result.schedule is None
+    assert result.completions is None
 
 
 def test_unknown_item_in_plan_raises_world_error(world, medication_goal):
@@ -299,7 +301,8 @@ def test_custom_durations_shift_completions(world):
     durations = DurationModel(pick_min=3)
     result = validate(plan, world, goal, durations, START, start_docked=True)
     assert result.ok
-    assert result.schedule[1].completion == parse_clock("10:01pm")
+    assert type(plan.actions[1].action) is Pick
+    assert result.completions[1] == parse_clock("10:01pm")
 
 
 def test_violation_machine_line_format():
