@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agent import FULFILLED, AgentConfig, RequestOutcome, handle_request
+from .agent import FULFILLED, RequestOutcome, handle_request
 from .clock import format_clock
 from .gateway import BackendError, ChatMessage, default_model_from_env, http_backend_from_env
 from .plan import PlanParseError, action_phrase, normalize, parse_plan, serialize_plan
@@ -18,7 +18,7 @@ from .prompts import GoalSlotError, ScaffoldMarkerError, parse_goal_slots
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simulator import render_event_log
 from .validator import validate
-from .world import WorldError, ZArmState, default_world
+from .world import WorldError, ZArmState
 
 # Everything a command raises for bad input: a file, a scenario section, a
 # plan, a goal or the environment. Anything else is a fault in the program
@@ -90,8 +90,7 @@ def _print_outcome(outcome: RequestOutcome) -> None:
     if outcome.plan is not None:
         print(serialize_plan(outcome.plan))
     if outcome.event_log is not None:
-        for event in outcome.event_log.events:
-            print(event.line())
+        print(render_event_log(outcome.event_log))
     for violation in outcome.violations:
         print(violation.machine_line())
     if outcome.error:
@@ -135,11 +134,8 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if args.world:
-        scenario = load_scenario(args.world)
-        world, config = scenario.world, scenario.config
-    else:
-        world, config = default_world(), AgentConfig()
+    scenario = load_scenario(args.world) if args.world else parse_scenario({})
+    world, config = scenario.world, scenario.config
     goal = parse_goal_slots(args.goal, tolerance=config.tolerance)
     text = Path(args.planfile).read_text(encoding="utf-8")
     arm = fresh_arm(world)

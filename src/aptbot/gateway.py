@@ -53,10 +53,11 @@ class GenerationParams(Record, frozen=True):
     def __init__(
         self, temperature: float = 0.2, max_output_tokens: int = 512, model_name: str = "gpt-4"
     ):
-        self.temperature, self.max_output_tokens = temperature, max_output_tokens
+        if not 0 <= temperature <= 2:
+            raise ValueError(f"temperature out of range [0, 2]: {temperature}")
+        # An integer temperature still goes on the wire as a float.
+        self.temperature, self.max_output_tokens = float(temperature), max_output_tokens
         self.model_name = model_name
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature out of range [0, 2]: {self.temperature}")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be at least 1")
 

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .clock import MINUTES_PER_DAY
 from .plan import Action, ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
-from .validator import DurationModel, Goal, goal_waypoints, item_totals, start_run
+from .validator import DurationModel, Goal, goal_waypoints, start_run
 from .world import WorldModel, travel_time
 
 MAX_WAYPOINTS = 8
@@ -34,9 +34,9 @@ def plan_oracle(
     broken by earlier completion, then by the order's rooms, then its items.
     Rooms and items name the order, so no two orders tie."""
     waypoints = sorted(goal_waypoints(world, goal))
-    if len(waypoints) > MAX_WAYPOINTS:
-        raise ValueError(f"too many waypoints: {len(waypoints)} > {MAX_WAYPOINTS}")
-    kinds = len({item for _, item, _, _ in waypoints})
+    kinds = len(waypoints)  # one waypoint per item
+    if kinds > MAX_WAYPOINTS:
+        raise ValueError(f"too many waypoints: {kinds} > {MAX_WAYPOINTS}")
     if kinds > world.capacity:  # one trip carries every item to the destination
         raise ValueError(f"goal needs {kinds} item kinds at once, capacity is {world.capacity}")
     # Each stop is (room, item, steps): the arm moves to the room, unless it
@@ -50,11 +50,10 @@ def plan_oracle(
         else:
             steps = ((Pick(item, qty), durations.pick_min),)
         stops.append((room, item, steps))
-    # One line per item with its total, though the goal may name an item twice.
     deliver = None
     tail = ()  # the stops after the waypoints, the same in every order
     if goal.deliveries:
-        deliver = Deliver(tuple(item_totals(goal.deliveries).items()), goal.destination)
+        deliver = Deliver(goal.deliveries, goal.destination)
         tail = ((goal.destination, None, ((deliver, durations.deliver_min),)),)
     # The arm stays docked only if no stop leaves the start room, in any order.
     docked = start_run(world, start[0], start_docked, start[1]).docked

@@ -261,6 +261,8 @@ def required_room(action: Action, world: WorldModel) -> str | None:
     if kind is Deliver:
         if action.dest not in world.rooms:
             raise WorldError(f"unknown room {action.dest!r}")
+        for item, _ in action.items:
+            item_location(world, item)  # refuses an unknown item
         return action.dest
     if kind is Dock or kind is Charge:
         return world.charging_room

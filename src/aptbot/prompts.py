@@ -63,11 +63,8 @@ class RequestType(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_LETTER_TO_TYPE = {
-    "A": RequestType.A_TAKE_MEDICINE,
-    "B": RequestType.B_APPLIANCE_CONTROL,
-    "C": RequestType.C_FOOD_BEVERAGE,
-}
+# Option letter -> type. UNKNOWN's value is no letter, and it is the default.
+_LETTER_TO_TYPE = {t.value: t for t in RequestType}
 
 
 class GoalSlotError(ValueError):

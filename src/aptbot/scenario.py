@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .agent import AgentConfig
 from .gateway import GenerationParams, ScriptedBackend
-from .plan import MAX_DIGITS
+from .plan import read_count
 from .prompts import RequestType, TemplateEntry, check_slots, default_templates
 from .record import Record
 from .validator import DurationModel
@@ -90,8 +90,7 @@ def _build_config(raw: dict) -> AgentConfig:
         ),
         tolerance=typed(raw, "tolerance", int, config.tolerance),
         params=GenerationParams(
-            # An integer temperature still goes on the wire as a float.
-            temperature=float(typed(raw, "temperature", float, params.temperature)),
+            temperature=typed(raw, "temperature", float, params.temperature),
             max_output_tokens=typed(raw, "max_output_tokens", int, params.max_output_tokens),
             model_name=typed(raw, "model", str, params.model_name),
         ),
@@ -132,11 +131,10 @@ def parse_scenario(raw: dict) -> Scenario:
 
 
 def _json_int(text: str) -> int:
-    """A JSON integer, refused past `MAX_DIGITS` digits whatever the
-    interpreter's own limit, as plan counts are."""
-    if len(text) - text.startswith("-") > MAX_DIGITS:
-        raise ValueError("integer too long")
-    return int(text)
+    """A JSON integer, its digits read as plan counts are (`read_count`)."""
+    negative = text.startswith("-")
+    count = read_count(text[negative:], "integer")
+    return -count if negative else count
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -160,6 +158,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"scenario {path} holds text that cannot be encoded as UTF-8: {exc.reason}"
         ) from None
-    except ValueError:  # the only other refusal: an integer too long (`_json_int`)
+    except ValueError:  # the only other refusal: an integer too long (`read_count`)
         raise ScenarioError(f"scenario {path} holds an integer too long to read") from None
     return parse_scenario(raw)

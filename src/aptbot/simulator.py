@@ -41,12 +41,9 @@ class EventLog(Record):
     quantity dropped off there."""
 
     __slots__ = ("events", "final_state", "outcome", "delivered")
-    def __init__(
-        self, events: list[Event], final_state: RunState, outcome: str,
-        delivered: dict[str, dict[str, int]],
-    ):
-        self.events, self.final_state = events, final_state
-        self.outcome, self.delivered = outcome, delivered
+    def __init__(self, events: list[Event], final_state: RunState, outcome: str):
+        self.events, self.final_state, self.outcome = events, final_state, outcome
+        self.delivered = final_state.delivered
 
 
 def render_event_log(log: EventLog) -> str:
@@ -73,7 +70,7 @@ def execute(
         if reason is not None:
             time = min(max(t, run.free_at), MINUTES_PER_DAY - 1)
             events.append(Event(time, FAULT, reason))
-            return EventLog(events, run, FAULT, run.delivered)
+            return EventLog(events, run, FAULT)
         kind = type(action)
         if kind is Move:
             events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))
@@ -93,4 +90,4 @@ def execute(
             events.append(Event(t, "wait", f"{action.minutes} {unit}"))
         apply(run, ta, completion)
 
-    return EventLog(events, run, COMPLETED, run.delivered)
+    return EventLog(events, run, COMPLETED)

@@ -53,13 +53,13 @@ class Goal(Record, frozen=True):
         self, deliveries: tuple[tuple[str, int], ...], destination: str, target_time: int,
         tolerance: int = 5,
     ):
-        self.deliveries, self.destination = deliveries, destination
-        self.target_time, self.tolerance = target_time, tolerance
+        self.destination, self.target_time, self.tolerance = destination, target_time, tolerance
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
-        for _, qty in self.deliveries:
-            if qty < 1:
-                raise ValueError("delivery quantities must be positive")
+        if any(qty < 1 for _, qty in deliveries):
+            raise ValueError("delivery quantities must be positive")
+        # An item named twice is kept once, with its total, in first-named order.
+        self.deliveries = tuple(item_totals(deliveries).items())
 
 
 class UnachievableGoalError(ValueError):
@@ -82,7 +82,7 @@ def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, s
     if goal.destination not in world.rooms:
         raise UnachievableGoalError(f"destination room not in the world: {goal.destination}")
     missing, short, out = [], [], []
-    for item, qty in item_totals(goal.deliveries).items():
+    for item, qty in goal.deliveries:
         try:
             facility = item_location(world, item)
         except WorldError:
@@ -288,7 +288,7 @@ def validate(
     got = run.delivered.get(goal.destination, {})
     missing = [
         f"{item}:{qty - got.get(item, 0)}"
-        for item, qty in item_totals(goal.deliveries).items()
+        for item, qty in goal.deliveries
         if got.get(item, 0) < qty
     ]
     if missing:

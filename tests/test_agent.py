@@ -21,7 +21,7 @@ from aptbot.gateway import ScriptedBackend, ScriptEntry, count_tokens
 from aptbot.plan import PlanParseError, serialize_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
-from aptbot.validator import DurationModel, validate, violation
+from aptbot.validator import DurationModel, start_run, validate, violation
 from aptbot.world import ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
@@ -271,7 +271,8 @@ def test_plan_failing_normalize_is_replanned(world, old, new, problem):
 
 def test_execution_fault_is_fed_back_until_exhaustion(world, monkeypatch):
     def faulting_execute(plan, world, arm, durations):
-        return EventLog([Event(plan.actions[0].start, FAULT, "arm jammed")], arm, FAULT, {})
+        run = start_run(world, arm.location, arm.docked, world.clock_start)
+        return EventLog([Event(plan.actions[0].start, FAULT, "arm jammed")], run, FAULT)
 
     monkeypatch.setattr("aptbot.agent.execute", faulting_execute)
     config = AgentConfig(max_retries=2)

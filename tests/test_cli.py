@@ -130,6 +130,7 @@ BAD_SECTIONS = {
     "token-budget-zero": ("config", {"token_budget": 0}),
     "max-output-tokens-string": ("config", {"max_output_tokens": "abc"}),
     "temperature-out-of-range": ("config", {"temperature": 9}),
+    "temperature-too-big-for-a-float": ("config", {"temperature": 10**400}),
     "duration-negative": ("config", {"durations": {"pick": -1}}),
     "duration-string": ("config", {"durations": {"pick": "x"}}),
     "max-retries-float": ("config", {"max_retries": 2.9}),

@@ -48,7 +48,7 @@ def _mutable_records():
         run,
         ValidationResult(None),
         Event(600, "dock", "at the charging port"),
-        EventLog([], run, "completed", {}),
+        EventLog([], run, "completed"),
         Session(),
         ScriptEntry("reply", step=1),
         RequestOutcome("fulfilled"),

@@ -101,6 +101,21 @@ def test_integer_temperature_is_sent_as_a_float():
     assert type(params.temperature) is float and params.temperature == 1.0
 
 
+@pytest.mark.parametrize(
+    "ones, message",
+    [
+        (4301, "holds an integer too long to read"),
+        (4300, "capacity must be a non-negative integer"),
+    ],
+)
+def test_a_negative_integer_is_read_to_the_digit_bound(tmp_path, ones, message):
+    # json.dumps cannot write an integer this long, so the text is written by hand.
+    path = tmp_path / "negative.scenario"
+    path.write_text('{"world": {"capacity": -' + "1" * ones + "}}")
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
 def test_config_unknown_keys_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario({"config": {"retries": 2}})

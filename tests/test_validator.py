@@ -45,6 +45,8 @@ def test_a_goal_naming_an_item_twice_wants_the_total(world):
     goal = parse_goal_slots(
         "item=aspirin; qty=2; companion=aspirin; time=10:00pm; room=living room"
     )
+    assert goal.deliveries == (("aspirin", 3),)
+    assert goal == Goal((("aspirin", 3),), "living_room", goal.target_time)
     assert goal_waypoints(world, goal) == [("storeroom", "aspirin", 3, "medicine_box")]
     two = (
         "[9:56pm] Move to the storeroom\n"

@@ -173,6 +173,7 @@ def test_unknown_lookups_keep_their_error_type_and_message(world):
         ("Fill glass with x", "unknown item 'x'"),
         ("Move to the x", "unknown room 'x'"),
         ("Deliver 1 aspirin to the x", "unknown room 'x'"),
+        ("Deliver 1 x to the living room", "unknown item 'x'"),
     ]:
         plan = parse_plan(f"[10:00pm] {phrase}")
         cases.append((lambda p=plan: normalize(p, world, "living_room"), WorldError, message))
