@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .gateway import Backend, ChatMessage, GatewayError, GenerationParams, Session, complete
+from .gateway import Backend, BackendError, ChatMessage, GenerationParams, Session, complete
 from .plan import ActionPlan, PlanParseError, normalize, parse_plan
 from .prompts import (
     GOAL_SLOT_FORMAT,
@@ -21,7 +21,6 @@ from .prompts import (
     build_few_shot_prompt,
     classify_prompt,
     classify_request,
-    context_aware_description,
     default_templates,
     goal_prompt,
     parse_goal_slots,
@@ -146,7 +145,7 @@ def _exchange(
     `judge` returns an accepted value or a list of failures, which
     `feedback` turns into the next prompt; without `feedback`, `judge`
     must never return a list. Returns the last verdict; a
-    GatewayError propagates, and the session keeps every judged exchange.
+    BackendError propagates, and the session keeps every judged exchange.
     """
     for _ in range(config.max_retries + 1):
         verdict = judge(complete(backend, session, prompt, config.params, config.token_budget))
@@ -195,13 +194,14 @@ def handle_request(
         goal_waypoints(world, goal)  # no plan for an unknown room or a missing or short item
 
         entry = templates[req_type]
-        description = context_aware_description(read_sensors(world, arm), entry.description)
+        sensors = "\n".join(read_sensors(world, arm))
+        description = f"{entry.description}\n\nCurrent context:\n{sensors}"
         plan_from = len(session.turns)
         verdict = _exchange(
             backend, session, config, build_few_shot_prompt(description, entry.examples, request),
             lambda reply: _plan_attempt(reply, world, arm, goal, config), replan_feedback,
         )
-    except GatewayError as exc:
+    except BackendError as exc:
         return outcome(BACKEND_FAILED, error=str(exc))
     except UnachievableGoalError as exc:
         return outcome(PLAN_FAILED, error=str(exc))

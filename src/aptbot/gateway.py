@@ -16,16 +16,12 @@ from typing import Protocol
 from .record import Record
 
 
-class GatewayError(Exception):
-    """Base class for gateway and backend failures."""
+class BackendError(Exception):
+    """A model call could not produce a usable completion."""
 
 
-class BackendError(GatewayError):
-    """The backend could not produce a usable completion."""
-
-
-class TokenLimitError(GatewayError):
-    """The prompt cannot fit within the input token budget."""
+class TokenLimitError(BackendError):
+    """The prompt cannot fit within the input token budget; no call is made."""
 
 
 class ScriptExhaustedError(BackendError):
@@ -44,8 +40,8 @@ class Session(Record):
     """Conversation state: an optional pinned system message plus turn pairs."""
 
     __slots__ = ("pinned", "turns")
-    def __init__(self, pinned: ChatMessage | None = None, turns: list[ChatMessage] | None = None):
-        self.pinned, self.turns = pinned, [] if turns is None else turns
+    def __init__(self, pinned: ChatMessage | None = None):
+        self.pinned, self.turns = pinned, []
 
 
 class GenerationParams(Record, frozen=True):
@@ -136,10 +132,10 @@ class ScriptEntry(Record):
     __slots__ = ("response", "exact", "contains", "step", "consumed")
     def __init__(
         self, response: str, exact: str | None = None, contains: str | None = None,
-        step: int | None = None, consumed: bool = False,
+        step: int | None = None,
     ):
         self.response, self.exact, self.contains = response, exact, contains
-        self.step, self.consumed = step, consumed
+        self.step, self.consumed = step, False
         matchers = [m for m in (self.exact, self.contains, self.step) if m is not None]
         if len(matchers) != 1:
             raise ValueError("script entry needs exactly one of exact/contains/step")
@@ -212,15 +208,15 @@ ENV_MODEL = "LCAC_MODEL"
 
 # Transport retries after a failed attempt; a non-2xx reply is not retried.
 TRANSPORT_RETRIES = 1
+TIMEOUT_S = 30.0  # per attempt
 
 
 class HTTPBackend:
     """Chat-completion HTTP backend with a single transport retry."""
 
-    def __init__(self, url: str, api_key: str, timeout: float = 30.0):
+    def __init__(self, url: str, api_key: str):
         self.url = url
         self.api_key = api_key
-        self.timeout = timeout
 
     def generate(self, messages: list[ChatMessage], params: GenerationParams) -> str:
         # The network stack is imported here, not at module top, so that
@@ -247,14 +243,15 @@ class HTTPBackend:
                 request = urllib.request.Request(
                     self.url, data=body, headers=headers, method="POST"
                 )
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    status, raw = response.status, response.read()
-                break
-            except urllib.error.HTTPError as exc:
-                # A non-2xx reply is an answer from the backend, not a
-                # transport failure: take its status and body, no retry.
-                with exc:
-                    status, raw = exc.code, exc.read()
+                try:
+                    with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
+                        status, raw = response.status, response.read()
+                except urllib.error.HTTPError as exc:
+                    # A non-2xx reply is an answer from the backend, not a
+                    # transport failure: take its status and body, no retry.
+                    # Reading that body can still fail like any transport.
+                    with exc:
+                        status, raw = exc.code, exc.read()
                 break
             # URLError, timeouts and refused connections are all OSError;
             # ValueError covers a malformed URL or header value.
@@ -271,7 +268,7 @@ class HTTPBackend:
             payload = json.loads(text)
             choices = payload["choices"]
             content = choices[0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError):
             raise BackendError(f"malformed completion payload: {text[:200]}") from None
         if not isinstance(content, str):
             raise BackendError("completion content is not text")

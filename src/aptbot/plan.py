@@ -29,7 +29,6 @@ class PlanParseError(ValueError):
         super().__init__(f"line {line_number}: {reason}: {offending_text!r}")
         self.line_number = line_number
         self.reason = reason
-        self.offending_text = offending_text
 
 
 class Move(Record, frozen=True):

@@ -34,10 +34,6 @@ FEW_SHOT_SCAFFOLD = (
     "Answer: "
 )
 
-# The few-shot scaffold with the examples segment removed, nothing else.
-_EXAMPLES_SEGMENT = "Examples: {1}. \n \n "
-ZERO_SHOT_SCAFFOLD = FEW_SHOT_SCAFFOLD.replace(_EXAMPLES_SEGMENT, "")
-
 # One-shot request-classification fixture, frozen verbatim including the
 # run-together words and the "(C)" answer.
 CLASSIFY_DESCRIPTION = (
@@ -68,12 +64,11 @@ _LETTER_TO_TYPE = {t.value: t for t in RequestType}
 
 
 class GoalSlotError(ValueError):
-    """Slot-line reply that does not parse; carries the raw reply."""
+    """Slot-line reply that does not parse; its message ends with the reply."""
 
     def __init__(self, reason: str, raw: str):
         super().__init__(f"{reason}: {raw!r}")
         self.reason = reason
-        self.raw = raw
 
 
 class ScaffoldMarkerError(ValueError):
@@ -94,39 +89,23 @@ def build_few_shot_prompt(description: str, examples: str, question: str) -> str
     return FEW_SHOT_SCAFFOLD.format(description, examples, question)
 
 
-def build_zero_shot_prompt(description: str, question: str) -> str:
-    check_slots(description=description, question=question)
-    return ZERO_SHOT_SCAFFOLD.format(description, "", question)
-
-
 _OPTION_RE = re.compile(r"\(([A-Za-z])\)")
-
-
-def extract_option(answer: str) -> str | None:
-    """First standalone option letter, or None when absent or ambiguous.
-
-    Accepts "(A)", a bare single-letter answer, and "(a) take medicine".
-    Two different letters in one answer is ambiguous: None, not a guess.
-    """
-    letters = [m.group(1).upper() for m in _OPTION_RE.finditer(answer)]
-    if not letters:
-        bare = answer.strip().rstrip(".").strip()
-        if len(bare) == 1 and bare.isalpha():
-            letters = [bare.upper()]
-    if not letters or len(set(letters)) != 1:
-        return None
-    return letters[0]
 
 
 def classify_request(answer: str) -> RequestType:
     """The request type a reply to `classify_prompt` names; UNKNOWN when
-    it names none, or more than one."""
-    return _LETTER_TO_TYPE.get(extract_option(answer), RequestType.UNKNOWN)
+    it names none, or two different letters.
 
-
-def context_aware_description(lines: list[str], base: str) -> str:
-    """The base text with a `Current context:` block of sensor lines."""
-    return base + "\n\nCurrent context:\n" + "\n".join(lines)
+    Reads "(A)", a bare single-letter answer, and "(a) take medicine".
+    """
+    letters = {m.group(1).upper() for m in _OPTION_RE.finditer(answer)}
+    if not letters:
+        bare = answer.strip().rstrip(".").strip()
+        if len(bare) == 1 and bare.isalpha():
+            letters = {bare.upper()}
+    if len(letters) != 1:
+        return RequestType.UNKNOWN
+    return _LETTER_TO_TYPE.get(letters.pop(), RequestType.UNKNOWN)
 
 
 # Slot-line grammar for goal extraction. The reply must contain all five
@@ -282,40 +261,3 @@ def default_templates(world: WorldModel) -> dict[RequestType, TemplateEntry]:
         RequestType.B_APPLIANCE_CONTROL: TemplateEntry(base, _APPLIANCE_EXAMPLE),
         RequestType.C_FOOD_BEVERAGE: TemplateEntry(base, _BEVERAGE_EXAMPLE),
     }
-
-
-# News fixtures: the classifier and recommender prompt pair exercising the
-# same template machinery on the news-notification example.
-NEWS_TITLE = "Europe's first bitcoin ETF set to launch after 12-month delay"
-
-NEWS_PAST_TITLES = (
-    "Thailand’s Pita loses parliamentary vote for prime minister",
-    "Bitcoin Tumbles Toward $30K, KAVA Crashes 12% Daily (Market Watch)",
-    "Barclays Said to Ready Sale of German Consumer Finance Business",
-)
-
-NEWS_CLASSIFY_DESCRIPTION = (
-    "You categorize the type of a news title, such as finance, politics, "
-    "entertainments & sports and so on. Please answer the category only"
-)
-
-NEWS_RECOMMEND_DESCRIPTION = (
-    "You decide whether the user would be interested in reading a news "
-    "title during the office hours, based on the news read before. "
-    "Please answer yes or no with a short reason"
-)
-
-NEWS_RECOMMEND_EXAMPLES = (
-    "the last three news read by the user in the office hours are "
-    f"(i) {NEWS_PAST_TITLES[0]!r}, (ii) {NEWS_PAST_TITLES[1]!r}, and "
-    f"(iii) {NEWS_PAST_TITLES[2]!r}"
-)
-
-
-def news_fixture_prompts() -> tuple[str, str]:
-    """(zero-shot classification, few-shot recommendation) prompt texts."""
-    classification = build_zero_shot_prompt(NEWS_CLASSIFY_DESCRIPTION, NEWS_TITLE)
-    recommendation = build_few_shot_prompt(
-        NEWS_RECOMMEND_DESCRIPTION, NEWS_RECOMMEND_EXAMPLES, NEWS_TITLE
-    )
-    return classification, recommendation

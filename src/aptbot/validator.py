@@ -115,13 +115,9 @@ def violation(kind: str, **fields: object) -> Violation:
 
 
 class ValidationResult(Record):
-    __slots__ = ("completions", "violations", "delivered")
-    def __init__(
-        self, completions: list[int] | None, violations: list[Violation] | None = None,
-        delivered: dict[str, dict[str, int]] | None = None,
-    ):
+    __slots__ = ("completions", "violations")
+    def __init__(self, completions: list[int] | None, violations: list[Violation] | None = None):
         self.completions, self.violations = completions, [] if violations is None else violations
-        self.delivered = {} if delivered is None else delivered
 
     @property
     def ok(self) -> bool:
@@ -308,4 +304,4 @@ def validate(
     elif not run.charging:
         violations.append(violation("NotChargingAtEnd"))
 
-    return ValidationResult(None if violations else completions, violations, run.delivered)
+    return ValidationResult(None if violations else completions, violations)

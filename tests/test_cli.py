@@ -87,6 +87,7 @@ BAD_SECTIONS = {
     ),
     "capacity-not-int": ("world", {"capacity": "two"}),
     "clock-start-out-of-day": ("world", {"clock_start": 99999}),
+    "clock-start-a-day-in": ("world", {"clock_start": 1440}),
     "clock-start-malformed": ("world", {"clock_start": "25:00pm"}),
     "stock-not-int": ("world", {"stock": {"medicine_box": {"aspirin": "ten"}}}),
     "item-in-two-facilities": (

@@ -1,3 +1,5 @@
+import http.client
+import io
 import urllib.error
 from unittest import mock
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aptbot import gateway
 from aptbot.gateway import (
     BackendError,
     ChatMessage,
@@ -65,7 +68,8 @@ def test_render_history_never_splits_a_pair():
 
 
 def test_render_history_refuses_a_half_pair():
-    session = Session(turns=[ChatMessage("user", "q")])
+    session = Session()
+    session.turns.append(ChatMessage("user", "q"))
     with pytest.raises(ValueError, match="not whole user/assistant pairs"):
         render_history(session, BUDGET)
 
@@ -312,8 +316,9 @@ def test_http_backend_empty_choices_is_malformed():
         assert "malformed" in str(exc_info.value)
 
 
-def test_http_backend_transport_failure_after_retry():
-    backend = HTTPBackend("http://127.0.0.1:9/nothing", api_key="k", timeout=0.2)
+def test_http_backend_transport_failure_after_retry(monkeypatch):
+    monkeypatch.setattr(gateway, "TIMEOUT_S", 0.2)
+    backend = HTTPBackend("http://127.0.0.1:9/nothing", api_key="k")
     with pytest.raises(BackendError) as exc_info:
         backend.generate([ChatMessage("user", "x")], PARAMS)
     assert "transport" in str(exc_info.value)
@@ -351,6 +356,35 @@ def test_http_backend_non_json_body_is_malformed():
             "malformed completion payload: <html>not json</html>"
         )
         assert len(server.bodies) == 1
+
+
+def test_http_backend_deeply_nested_body_is_malformed():
+    body = b"[" * 100_000 + b"]" * 100_000
+    with StubChatServer() as server:
+        server.queued.append((200, body))
+        backend = HTTPBackend(server.url, api_key="k")
+        with pytest.raises(BackendError) as exc_info:
+            backend.generate([ChatMessage("user", "x")], PARAMS)
+        assert str(exc_info.value) == f"malformed completion payload: {body[:200].decode()}"
+
+
+def test_http_backend_error_body_cut_short_is_a_transport_failure():
+    attempts = []
+
+    class CutShort(io.BytesIO):
+        def read(self, *args):
+            raise http.client.IncompleteRead(b"overl", 100)
+
+    def fail(request, timeout):
+        attempts.append(request.full_url)
+        raise urllib.error.HTTPError(request.full_url, 500, "error", {}, CutShort())
+
+    backend = HTTPBackend("http://stub.invalid/v1", api_key="k")
+    with mock.patch("urllib.request.urlopen", side_effect=fail):
+        with pytest.raises(BackendError) as exc_info:
+            backend.generate([ChatMessage("user", "x")], PARAMS)
+    assert len(attempts) == gateway.TRANSPORT_RETRIES + 1
+    assert str(exc_info.value).startswith("transport failure after retry: IncompleteRead")
 
 
 def test_http_backend_error_status_carries_truncated_body():

@@ -135,6 +135,17 @@ def test_waypoint_cap_is_enforced():
         plan_oracle(world, goal, DurationModel(), START)
 
 
+def test_eight_waypoints_are_within_the_cap():
+    # A target already past makes every order too late, so each is refused quickly.
+    pills = [f"pill{i}" for i in range(8)]
+    world = world_from_config(
+        {"stock": {"medicine_box": {pill: 1 for pill in pills}}, "capacity": 8}
+    )
+    goal = Goal(tuple((pill, 1) for pill in pills), "bedroom", START[1], tolerance=0)
+    with pytest.raises(ValueError, match="^no waypoint ordering fits the deadline window$"):
+        plan_oracle(world, goal, DurationModel(), START)
+
+
 def test_goal_with_more_item_kinds_than_capacity_is_refused(medication_goal):
     # One trip carries aspirin and water together; a one-kind arm cannot.
     world = world_from_config({"clock_start": "9:54pm", "capacity": 1})

@@ -38,6 +38,12 @@ def test_parse_single_move_line():
     assert plan.actions == (TimedAction(parse_clock("9:56pm"), Move("kitchen")),)
 
 
+def test_a_lone_article_or_measure_is_the_item_name():
+    # Leading words are dropped only from in front of a name, never all of them.
+    assert parse_plan("[9:58pm] Pick the").actions[0].action == Pick("the", 1)
+    assert parse_plan("[9:58pm] Pick 2 pills of").actions[0].action == Pick("pills of", 2)
+
+
 def test_both_move_phrasings_parse_identically():
     short = parse_plan("[9:56pm] Move to the kitchen")
     long = parse_plan("[9:56pm] Move from the living room to the kitchen")
@@ -98,7 +104,7 @@ def test_unknown_phrase_in_bracketed_line_is_an_error():
     with pytest.raises(PlanParseError) as exc_info:
         parse_plan("intro text\n[9:56pm] Levitate over the kitchen")
     assert exc_info.value.line_number == 2
-    assert "Levitate" in exc_info.value.offending_text
+    assert "Levitate" in str(exc_info.value)
 
 
 @pytest.mark.parametrize(

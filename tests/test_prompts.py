@@ -12,24 +12,18 @@ from aptbot.prompts import (
     FEW_SHOT_SCAFFOLD,
     GOAL_SLOT_DESCRIPTION,
     GOAL_SLOT_EXAMPLE,
-    ZERO_SHOT_SCAFFOLD,
     GoalSlotError,
     RequestType,
     ScaffoldMarkerError,
     _SLOT_RES,
     build_few_shot_prompt,
-    build_zero_shot_prompt,
     classify_prompt,
     classify_request,
-    context_aware_description,
     default_templates,
-    extract_option,
     goal_prompt,
-    news_fixture_prompts,
     parse_goal_slots,
 )
 from aptbot.validator import DurationModel, Goal, validate
-from aptbot.world import ZArmState, read_sensors
 
 
 def test_few_shot_scaffold_bytes():
@@ -41,12 +35,6 @@ def test_few_shot_scaffold_bytes():
         "Question: {2}. \n "
         "Answer: "
     )
-
-
-def test_zero_shot_scaffold_drops_only_the_examples_segment():
-    assert ZERO_SHOT_SCAFFOLD == FEW_SHOT_SCAFFOLD.replace("Examples: {1}. \n \n ", "")
-    assert "{1}" not in ZERO_SHOT_SCAFFOLD
-    assert "{0}" in ZERO_SHOT_SCAFFOLD and "{2}" in ZERO_SHOT_SCAFFOLD
 
 
 def test_classification_fixture_bytes():
@@ -83,22 +71,11 @@ def test_build_few_shot_prompt_golden():
     )
 
 
-def test_build_zero_shot_prompt_golden():
-    prompt = build_zero_shot_prompt("DESC", "QUESTION")
-    assert prompt == (
-        "Please answer the question by considering descriptions "
-        "and examples below. \n\n"
-        "Descriptions: DESC. \n "
-        "Question: QUESTION. \n "
-        "Answer: "
-    )
-
-
 def test_prompt_slots_reject_scaffold_markers():
     with pytest.raises(ValueError):
         build_few_shot_prompt("has {0} inside", "ex", "q")
     with pytest.raises(ValueError):
-        build_zero_shot_prompt("desc", "q with {2}")
+        build_few_shot_prompt("desc", "ex", "q with {2}")
 
 
 QUESTIONS = st.lists(
@@ -164,7 +141,7 @@ def test_braces_in_slot_text_are_safe():
 
 
 @pytest.mark.parametrize(
-    "answer,expected",
+    "answer,letter",
     [
         ("(A)", "A"),
         ("(a) take medicine", "A"),
@@ -178,8 +155,11 @@ def test_braces_in_slot_text_are_safe():
         ("(A) then (A)", "A"),
     ],
 )
-def test_extract_option(answer, expected):
-    assert extract_option(answer) == expected
+def test_extract_option(answer, letter):
+    """`classify_request` reads one option letter; none, or two different
+    letters, is UNKNOWN."""
+    expected = RequestType(letter) if letter else RequestType.UNKNOWN
+    assert classify_request(answer) is expected
 
 
 @pytest.mark.parametrize(
@@ -194,16 +174,6 @@ def test_extract_option(answer, expected):
 )
 def test_classify_request_maps_letters(reply, expected):
     assert classify_request(reply) == expected
-
-
-def test_context_aware_description_appends_readings(world):
-    arm = ZArmState(location="living_room")
-    text = context_aware_description(read_sensors(world, arm), "BASE")
-    assert text == (
-        "BASE\n\nCurrent context:\n"
-        "living_room/clock: 9:54pm (t=9:54pm)\n"
-        "living_room/zarm_position: living_room (t=9:54pm)"
-    )
 
 
 def test_parse_goal_slots_spec_example():
@@ -243,7 +213,7 @@ def test_goal_slots_round_trip(medication_goal):
 def test_parse_goal_slots_rejects_malformed(bad):
     with pytest.raises(GoalSlotError) as exc_info:
         parse_goal_slots(bad)
-    assert exc_info.value.raw == bad
+    assert str(exc_info.value).endswith(repr(bad))
 
 
 @pytest.mark.parametrize(
@@ -262,7 +232,7 @@ def test_goal_qty_is_refused_where_a_plan_count_is(qty, reason):
     with pytest.raises(GoalSlotError) as exc_info:
         parse_goal_slots(line)
     assert exc_info.value.reason == reason
-    assert exc_info.value.raw == line
+    assert str(exc_info.value).endswith(repr(line))
 
 
 def test_goal_qty_reads_decimal_digits_as_a_plan_count_does():
@@ -342,16 +312,3 @@ def test_medicine_template_example_validates(world):
         start_docked=True,
     )
     assert result.ok, [v.machine_line() for v in result.violations]
-
-
-def test_news_fixture_prompts_embed_reference_titles():
-    classification, recommendation = news_fixture_prompts()
-    title = "Europe's first bitcoin ETF set to launch after 12-month delay"
-    assert title in classification
-    assert title in recommendation
-    assert "Examples:" not in classification
-    assert "Thailand’s Pita loses parliamentary vote for prime minister" in recommendation
-    assert "Bitcoin Tumbles Toward $30K, KAVA Crashes 12% Daily (Market Watch)" in recommendation
-    assert "Barclays Said to Ready Sale of German Consumer Finance Business" in recommendation
-    assert classification.startswith("Please answer the question")
-    assert recommendation.endswith("Answer: ")

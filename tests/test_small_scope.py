@@ -103,7 +103,8 @@ def test_every_small_plan_runs_as_judged_and_none_outranks_the_oracle():
                     assert log.outcome == COMPLETED, (plan, log.events[-1].line())
                 if result.ok:
                     seen["accepted"] += 1
-                    assert log.final_state.delivered == result.delivered, plan
+                    got = log.final_state.delivered.get(goal.destination, {})
+                    assert all(got.get(item, 0) >= qty for item, qty in goal.deliveries), plan
                     assert log.final_state.docked and log.final_state.charging, plan
                     assert goal in best and _rank(plan, result, goal, clock) >= best[goal], plan
     assert seen["judged"] == 83_058, seen

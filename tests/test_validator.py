@@ -4,8 +4,9 @@ from aptbot.clock import parse_clock
 from aptbot.oracle import plan_oracle
 from aptbot.plan import Deliver, Pick, normalize, parse_plan
 from aptbot.prompts import parse_goal_slots
+from aptbot.simulator import FAULT, execute
 from aptbot.validator import DurationModel, Goal, goal_waypoints, validate, violation
-from aptbot.world import WorldError, default_world, world_from_config
+from aptbot.world import WorldError, ZArmState, default_world, world_from_config
 from conftest import CANONICAL_PLAN
 
 START = ("living_room", parse_clock("9:54pm"))
@@ -61,7 +62,9 @@ def test_a_goal_naming_an_item_twice_wants_the_total(world):
     ]
     best = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
     result = validate(best, world, goal, DurationModel(), START, start_docked=True)
-    assert result.ok and result.delivered == {"living_room": {"aspirin": 3}}
+    assert result.ok
+    arm = ZArmState(location=START[0], docked=True)
+    assert execute(best, world, arm, DurationModel()).delivered == {"living_room": {"aspirin": 3}}
 
 
 def test_travel_infeasible_reports_needed_and_available(world):
@@ -82,6 +85,16 @@ def test_action_after_the_move_arrives_is_its_own_chronology(world, medication_g
         "VIOLATION Chronology index=1",
         "VIOLATION Chronology index=2",
         "VIOLATION GoalUnmet missing=aspirin:2,water:1",
+        "VIOLATION NotDockedAtEnd",
+    ]
+
+
+def test_action_at_the_minute_a_move_starts_blames_the_move(world):
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
+    text = "[9:54pm] Move to the storeroom\n[9:54pm] Pick 1 aspirin"
+    result = _validate(text, world, goal)
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION TravelInfeasible index=0 needed=2 available=0",
         "VIOLATION NotDockedAtEnd",
     ]
 
@@ -115,6 +128,18 @@ def test_pick_beyond_stock_is_item_unavailable():
         "VIOLATION ItemUnavailable item=aspirin room=storeroom",
         "VIOLATION NotDockedAtEnd",
     ]
+
+
+def test_picks_that_take_all_the_stock_leave_none():
+    world = world_from_config({"stock": {"medicine_box": {"aspirin": 2}}, "clock_start": "9:54pm"})
+    goal = Goal((), "living_room", parse_clock("10:00pm"))
+    text = "[9:56pm] Move to the storeroom\n[9:58pm] Pick 2 aspirin\n[9:59pm] Pick 1 aspirin"
+    short = "VIOLATION ItemUnavailable item=aspirin room=storeroom"
+    result = _validate(text, world, goal)
+    assert [v.machine_line() for v in result.violations] == [short, "VIOLATION NotDockedAtEnd"]
+    plan = normalize(parse_plan(text), world, START[0])
+    log = execute(plan, world, ZArmState(location=START[0], docked=True), DurationModel())
+    assert log.outcome == FAULT and log.events[-1].detail == short
 
 
 def test_unbounded_water_never_runs_out(world):
@@ -259,6 +284,18 @@ def test_plan_running_past_midnight_is_wraparound(world):
     goal = Goal((), "living_room", parse_clock("11:59pm"))
     result = _validate("[11:59pm] Wait 10 minutes", world, goal)
     assert [v.kind for v in result.violations] == ["TimeWraparound"]
+
+
+def test_a_run_reports_time_wraparound_once():
+    # The second Wait starts before the first ends, and ends at midnight again.
+    world = world_from_config({"clock_start": "11:50pm"})
+    goal = Goal((), "living_room", parse_clock("11:59pm"))
+    text = "[11:58pm] Wait 2 minutes\n[11:59pm] Wait 1 minute"
+    result = _validate(text, world, goal, start=("living_room", world.clock_start))
+    assert [v.machine_line() for v in result.violations] == [
+        "VIOLATION TimeWraparound",
+        "VIOLATION Chronology index=1",
+    ]
 
 
 def test_delivery_past_midnight_reports_deadline_as_next_day_time(world, medication_goal):
