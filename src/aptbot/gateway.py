@@ -136,9 +136,10 @@ class ScriptEntry(Record):
     ):
         self.response, self.exact, self.contains = response, exact, contains
         self.step, self.consumed = step, False
-        matchers = [m for m in (self.exact, self.contains, self.step) if m is not None]
-        if len(matchers) != 1:
+        if (exact, contains, step).count(None) != 2:
             raise ValueError("script entry needs exactly one of exact/contains/step")
+        if step is not None and step < 1:  # call indices are one-based
+            raise ValueError(f"step must be at least 1, got {step}")
 
     def matches(self, prompt: str, call_index: int) -> bool:
         if self.exact is not None:
@@ -177,28 +178,6 @@ class ScriptedBackend:
         raise ScriptExhaustedError(
             f"no unconsumed script entry matches call {self.calls}: {prompt[:120]!r}"
         )
-
-    @classmethod
-    def from_config(cls, raw_entries: list[dict]) -> "ScriptedBackend":
-        entries = []
-        for i, raw in enumerate(raw_entries):
-            if not isinstance(raw, dict) or set(raw) != {"match", "response"}:
-                raise ValueError(f"script entry {i} must have exactly match and response")
-            match = raw["match"]
-            if not isinstance(match, dict) or len(match) != 1:
-                raise ValueError(f"script entry {i} match must set exactly one matcher")
-            (key, value), = match.items()
-            kind = {"exact": str, "contains": str, "step": int}.get(key)
-            if kind is None:
-                raise ValueError(f"script entry {i} has unknown matcher {key!r}")
-            if type(value) is not kind:
-                raise ValueError(f"script entry {i} {key} must be {kind.__name__}, got {value!r}")
-            if key == "step" and value < 1:  # call indices are one-based
-                raise ValueError(f"script entry {i} step must be at least 1, got {value}")
-            if not isinstance(raw["response"], str):
-                raise ValueError(f"script entry {i} response must be a string")
-            entries.append(ScriptEntry(response=raw["response"], **{key: value}))
-        return cls(entries)
 
 
 ENV_API_URL = "LCAC_API_URL"

@@ -125,6 +125,7 @@ _VERB_RE = re.compile(
 
 
 MAX_DIGITS = 4_300  # int()'s default limit, kept where the interpreter's is higher or off
+TOO_MANY_DIGITS = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
 
 
 def read_count(digits: str, what: str) -> int:

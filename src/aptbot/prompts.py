@@ -157,12 +157,15 @@ def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
     companion = values["companion"].lower()
     if companion not in ("none", ""):
         deliveries.append((companion, 1))
-    return Goal(
-        deliveries=tuple(deliveries),
-        destination=room_id(values["room"]),
-        target_time=target,
-        tolerance=tolerance,
-    )
+    try:
+        return Goal(
+            deliveries=tuple(deliveries),
+            destination=room_id(values["room"]),
+            target_time=target,
+            tolerance=tolerance,
+        )
+    except ValueError as exc:  # a total of more digits than a count may have
+        raise GoalSlotError(str(exc), text) from None
 
 
 # The scaffold before and after its {2} question slot, and the heads of the

@@ -1,8 +1,8 @@
 """Scenario files: a world, prompt templates, a response script, requests.
 
-A scenario is one JSON document driving a reproducible run. The scripted
-backend is rebuilt from the raw script for every run so consume-once
-matcher state never leaks between runs.
+A scenario is one JSON document driving a reproducible run. Its script is
+checked once, at load; every run gets a backend holding fresh copies of the
+checked entries, so consume-once matcher state never leaks between runs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .agent import AgentConfig
-from .gateway import GenerationParams, ScriptedBackend
+from .gateway import GenerationParams, ScriptedBackend, ScriptEntry
 from .plan import read_count
 from .prompts import RequestType, TemplateEntry, check_slots, default_templates
 from .record import Record
@@ -20,12 +20,7 @@ from .world import WorldError, WorldModel, typed, world_from_config
 
 _TOP_KEYS = {"world", "templates", "script", "requests", "config"}
 _CONFIG_KEYS = {
-    "max_retries",
-    "tolerance",
-    "token_budget",
-    "temperature",
-    "max_output_tokens",
-    "model",
+    "max_retries", "tolerance", "token_budget", "temperature", "max_output_tokens", "model",
     "durations",
 }
 _DURATION_KEYS = {"pick", "fill", "deliver", "dock"}
@@ -39,14 +34,15 @@ class Scenario(Record, frozen=True):
     __slots__ = ("world", "templates", "script", "requests", "config")
     def __init__(
         self, world: WorldModel, templates: dict[RequestType, TemplateEntry],
-        script: tuple[dict, ...], requests: tuple[str, ...], config: AgentConfig,
+        script: tuple[ScriptEntry, ...], requests: tuple[str, ...], config: AgentConfig,
     ):
         self.world, self.templates, self.script = world, templates, script
         self.requests, self.config = requests, config
 
     def make_backend(self) -> ScriptedBackend:
-        """Fresh backend with unconsumed script entries."""
-        return ScriptedBackend.from_config(list(self.script))
+        """Fresh backend with unconsumed copies of the script entries."""
+        entries = [ScriptEntry(e.response, e.exact, e.contains, e.step) for e in self.script]
+        return ScriptedBackend(entries)
 
 
 def _merge_templates(world: WorldModel, overrides: dict) -> dict[RequestType, TemplateEntry]:
@@ -68,6 +64,21 @@ def _merge_templates(world: WorldModel, overrides: dict) -> dict[RequestType, Te
         except ValueError as exc:
             raise ScenarioError(f"template {key!r}: {exc}") from None
     return entries
+
+
+def _read_script(entries: list):
+    """Each script entry, checked; a fault names the entry's index."""
+    for index, entry in enumerate(entries):
+        try:
+            if type(entry) is not dict or set(entry) != {"match", "response"}:
+                raise ScenarioError("must have exactly match and response")
+            match = typed(entry, "match", dict)
+            if not set(match) <= {"exact", "contains", "step"}:
+                raise ScenarioError("match allows only exact, contains and step")
+            yield ScriptEntry(typed(entry, "response", str), typed(match, "exact", str),
+                              typed(match, "contains", str), typed(match, "step", int))
+        except ValueError as exc:
+            raise ScenarioError(f"script entry {index}: {exc}") from None
 
 
 def _build_config(raw: dict) -> AgentConfig:
@@ -117,17 +128,15 @@ def parse_scenario(raw: dict) -> Scenario:
         requests = typed(raw, "requests", list, [], item=str)
         for request in requests:
             check_slots(request=request)
-        scenario = Scenario(
+        return Scenario(
             world=world,
             templates=_merge_templates(world, typed(raw, "templates", dict, {}, item=dict)),
-            script=tuple(typed(raw, "script", list, [])),
+            script=tuple(_read_script(typed(raw, "script", list, []))),
             requests=tuple(requests),
             config=_build_config(typed(raw, "config", dict, {})),
         )
-        scenario.make_backend()
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    return scenario
 
 
 def _json_int(text: str) -> int:

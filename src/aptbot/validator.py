@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
+    TOO_MANY_DIGITS,
     ActionPlan,
     Charge,
     Deliver,
@@ -60,6 +61,8 @@ class Goal(Record, frozen=True):
             raise ValueError("delivery quantities must be positive")
         # An item named twice is kept once, with its total, in first-named order.
         self.deliveries = tuple(item_totals(deliveries).items())
+        if any(qty >= TOO_MANY_DIGITS for _, qty in self.deliveries):
+            raise ValueError("qty has too many digits")
 
 
 class UnachievableGoalError(ValueError):

@@ -107,11 +107,6 @@ class ZArmState(Record):
         self.location, self.capacity, self.docked = location, capacity, docked
 
 
-def default_world() -> WorldModel:
-    """The default apartment."""
-    return world_from_config({})
-
-
 def travel_time(world: WorldModel, from_room: str, to_room: str) -> int:
     minutes = world.travel.get((from_room, to_room))
     if minutes is None:  # travel holds every room pair, so a room is unknown

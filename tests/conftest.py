@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from aptbot.clock import parse_clock
 from aptbot.validator import Goal
-from aptbot.world import default_world, world_from_config
+from aptbot.world import world_from_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIO_PATH = Path(__file__).parent.parent / "scenarios" / "medication.scenario"
@@ -68,7 +68,7 @@ def small_world():
 
 @pytest.fixture
 def world():
-    return default_world()
+    return world_from_config({})
 
 
 @pytest.fixture
@@ -79,11 +79,6 @@ def medication_goal():
         target_time=parse_clock("10:00pm"),
         tolerance=5,
     )
-
-
-@pytest.fixture
-def golden_dir():
-    return GOLDEN_DIR
 
 
 @pytest.fixture

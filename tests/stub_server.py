@@ -53,7 +53,10 @@ class StubChatServer:
                 pass
 
         self._server = HTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # `shutdown` waits for the serving loop's next poll, by default 0.5 s away.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self):

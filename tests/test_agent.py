@@ -22,7 +22,7 @@ from aptbot.plan import PlanParseError, serialize_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
 from aptbot.validator import DurationModel, start_run, validate, violation
-from aptbot.world import ZArmState, default_world, world_from_config
+from aptbot.world import ZArmState, world_from_config
 from conftest import CANONICAL_PLAN
 
 REQUEST = (
@@ -408,7 +408,7 @@ _REPLAN_HEAD = "The previous plan was not acceptable."
 @settings(max_examples=200, deadline=None)
 def test_agent_loop_survives_hostile_replies(script):
     max_retries, replies = script
-    world, config = default_world(), AgentConfig(max_retries=max_retries)
+    world, config = world_from_config({}), AgentConfig(max_retries=max_retries)
     backend = _RecordingBackend(replies)
     outcome = handle_request(REQUEST, world, _arm(), backend, config=config)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from aptbot.cli import main
 from aptbot.prompts import RequestType, default_templates
-from aptbot.world import default_world
+from aptbot.world import world_from_config
 from conftest import CANONICAL_PLAN, GOLDEN_DIR, SCENARIO_PATH, child_env
 from stub_server import StubChatServer
 
@@ -140,6 +140,7 @@ BAD_SECTIONS = {
     "contains-not-string": ("script", [{"match": {"contains": 5}, "response": "(A)"}]),
     "step-not-int": ("script", [{"match": {"step": "x"}, "response": "(A)"}]),
     "step-zero": ("script", [{"match": {"step": 0}, "response": "(A)"}]),
+    "step-bool": ("script", [{"match": {"step": True}, "response": "(A)"}]),
     "description-not-string": ("templates", {"a_take_medicine": {"description": 3}}),
     "description-with-marker": ("templates", {"a_take_medicine": {"description": "see {0}"}}),
     "examples-not-string": ("templates", {"a_take_medicine": {"examples": ["x"]}}),
@@ -158,7 +159,9 @@ def test_run_rejects_bad_world_section_with_exit_2(tmp_path, section, value):
     proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    prefix = "error: world section:" if section == "world" else "error:"
+    prefix = {"world": "error: world section:", "script": "error: script entry 0:"}.get(
+        section, "error:"
+    )
     assert proc.stderr.startswith(prefix)
     assert proc.stderr.count("\n") == 1
 
@@ -277,6 +280,35 @@ def test_validate_malformed_goal_exits_2(tmp_path):
     proc = run_cli("validate", str(plan), "--goal", "item=aspirin")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+# Each qty reads as a count, but with the companion's 1 the aspirin total has
+# 4,301 digits, one more than any count may have.
+LONG_TOTAL_GOAL = (
+    "item=aspirin; qty=" + "9" * 4300 + "; companion=aspirin; time=10:00pm; room=living room"
+)
+
+
+def test_validate_goal_total_of_too_many_digits_exits_2():
+    proc = run_cli("validate", str(GOLDEN_DIR / "plan.txt"), "--goal", LONG_TOTAL_GOAL)
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert proc.stderr.startswith("error: qty has too many digits: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_run_asks_again_for_a_goal_total_of_too_many_digits(tmp_path):
+    raw = json.loads(SCENARIO_PATH.read_text(encoding="utf-8"))
+    raw["script"][1]["response"] = LONG_TOTAL_GOAL
+    path = tmp_path / "long_total.scenario"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    # The script holds no reply to the goal-repair prompt, so the request fails.
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "request 1: backend_failed\n", "")
+    raw["script"].insert(2, {"match": {"contains": "(qty has too many digits)"}, "response": GOAL})
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "request 1: fulfilled\n", "")
 
 
 def test_validate_missing_plan_file_exits_2(tmp_path):
@@ -446,7 +478,7 @@ def test_repl_without_scenario_runs_the_default_apartment_over_http():
     assert "status: fulfilled" in proc.stdout
     assert len(server.bodies) == 3
     assert [body["model"] for body in server.bodies] == ["stub-model"] * 3
-    description = default_templates(default_world())[RequestType.A_TAKE_MEDICINE].description
+    description = default_templates(world_from_config({}))[RequestType.A_TAKE_MEDICINE].description
     assert description in server.bodies[2]["messages"][-1]["content"]
 
 

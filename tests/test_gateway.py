@@ -254,17 +254,6 @@ def test_script_entry_requires_exactly_one_matcher():
         ScriptEntry(response="r", exact="a", contains="b")
 
 
-def test_scripted_backend_from_config():
-    backend = ScriptedBackend.from_config(
-        [{"match": {"contains": "ping"}, "response": "pong"}]
-    )
-    assert backend.generate([ChatMessage("user", "ping!")], PARAMS) == "pong"
-    with pytest.raises(ValueError):
-        ScriptedBackend.from_config([{"match": {"regex": "x"}, "response": "r"}])
-    with pytest.raises(ValueError):
-        ScriptedBackend.from_config([{"response": "r"}])
-
-
 def test_http_backend_wire_shape():
     with StubChatServer() as server:
         backend = HTTPBackend(server.url, api_key="secret-key")

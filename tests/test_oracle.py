@@ -9,7 +9,7 @@ from aptbot.oracle import plan_oracle
 from aptbot.plan import Charge, Deliver, Dock, Fill, TimedAction, serialize_plan
 from aptbot.simulator import COMPLETED, execute
 from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
-from aptbot.world import ZArmState, default_world, world_from_config
+from aptbot.world import ZArmState, world_from_config
 from conftest import CANONICAL_PLAN, small_world
 from oracle_reference import reference_enumerate_feasible, reference_plan_oracle
 
@@ -174,7 +174,7 @@ def test_goal_wanting_more_than_the_stock_is_unachievable(deliveries, stock, mes
 def test_oracle_plans_validate_and_execute_in_small_worlds():
     """With small capacity and stock, the oracle refuses or its plan runs."""
     rng = random.Random(46)
-    rooms = list(default_world().rooms)
+    rooms = list(world_from_config({}).rooms)
     items = ["aspirin", "ibuprofen", "water", "glass"]
     refused = planned = 0
     for _ in range(300):

@@ -29,7 +29,7 @@ from aptbot.plan import (
     serialize_plan,
 )
 from aptbot.validator import DurationModel, Goal, validate
-from aptbot.world import WorldError, default_world, world_from_config
+from aptbot.world import WorldError, world_from_config
 from conftest import CANONICAL_PLAN
 
 
@@ -232,7 +232,7 @@ def test_every_plan_of_the_worlds_names_normalizes_and_is_judged():
     """Seeded: starts anywhere in the day, a third of them below the travel
     time, so some inserted moves start at 12:00am short of time."""
     rng = random.Random(19)
-    worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
+    worlds = [world_from_config({}), world_from_config({"clock_start": "12:00am"})]
     goal = Goal((("aspirin", 1),), "living_room", parse_clock("10:30pm"))
     early = 0
     for _ in range(3000):
@@ -420,4 +420,4 @@ def test_a_quantity_is_a_decimal_number():
     assert _parse_phrase("Pick ² aspirin") == Pick("² aspirin", 1)
     assert _parse_phrase("Pick 12 aspirin") == Pick("aspirin", 12)
     with pytest.raises(WorldError, match=r"^unknown item '² aspirin'$"):
-        normalize(parse_plan("[9:56pm] Pick ² aspirin"), default_world(), "living_room")
+        normalize(parse_plan("[9:56pm] Pick ² aspirin"), world_from_config({}), "living_room")

@@ -15,7 +15,7 @@ from aptbot.validator import (
     Violation,
     start_run,
 )
-from aptbot.world import Facility, WorldModel, ZArmState, default_world
+from aptbot.world import Facility, WorldModel, ZArmState, world_from_config
 
 
 def _value_records():
@@ -41,7 +41,7 @@ def _value_records():
 
 
 def _mutable_records():
-    world = default_world()
+    world = world_from_config({})
     run = start_run(world, "kitchen", False, 600)
     return [
         ZArmState("kitchen"),
@@ -69,7 +69,7 @@ def test_equal_value_records_have_equal_hashes(index):
 
 
 def test_value_records_holding_dicts_stay_unhashable():
-    world = default_world()
+    world = world_from_config({})
     for record in (world, world.facilities[0]):
         with pytest.raises(TypeError):
             hash(record)
@@ -91,7 +91,7 @@ def test_a_record_never_equals_the_tuple_of_its_fields():
 def test_world_equality_and_repr_leave_out_the_derived_tables():
     stock = {"aspirin": 10}
     facilities = (Facility("medicine_box", "storeroom", stock), Facility("charging_port", "living_room"))
-    world = default_world()
+    world = world_from_config({})
     before = WorldModel(world.rooms, world.travel, facilities, world.clock_start, world.capacity)
     stock["ibuprofen"] = 4  # only a world built afterwards derives this item
     after = WorldModel(world.rooms, world.travel, facilities, world.clock_start, world.capacity)
@@ -126,6 +126,8 @@ def test_defaults_and_fresh_containers():
     [
         (lambda: Goal((), "kitchen", 0, tolerance=-1), "tolerance must be >= 0"),
         (lambda: Goal((("water", 0),), "kitchen", 0), "delivery quantities must be positive"),
+        (lambda: Goal((("water", 10**4300 - 1), ("water", 1)), "kitchen", 0),
+         "qty has too many digits"),
         (lambda: DurationModel(fill_min=-1), "fill_min must be >= 0"),
         (lambda: ChatMessage("robot", "hi"), "unknown chat role: 'robot'"),
         (lambda: GenerationParams(temperature=2.5), "temperature out of range [0, 2]: 2.5"),
@@ -133,6 +135,7 @@ def test_defaults_and_fresh_containers():
         (lambda: ScriptEntry("reply"), "script entry needs exactly one of exact/contains/step"),
         (lambda: ScriptEntry("reply", exact="a", step=1),
          "script entry needs exactly one of exact/contains/step"),
+        (lambda: ScriptEntry("reply", step=0), "step must be at least 1, got 0"),
         (lambda: AgentConfig(max_retries=-1), "max_retries must be non-negative"),
         (lambda: AgentConfig(tolerance=-1), "tolerance must be non-negative"),
         (lambda: AgentConfig(token_budget=0), "token_budget must be positive"),

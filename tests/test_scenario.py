@@ -131,9 +131,9 @@ def test_requests_must_be_strings():
 
 
 def test_bad_script_entry_fails_at_load():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^script entry 0"):
         parse_scenario({"script": [{"match": {"regex": "x"}, "response": "r"}]})
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^script entry 0"):
         parse_scenario({"script": [{"response": "r"}]})
 
 

@@ -17,7 +17,7 @@ from aptbot.plan import (
 )
 from aptbot.simulator import COMPLETED, FAULT, Event, execute, render_event_log
 from aptbot.validator import DurationModel, Goal, validate
-from aptbot.world import WorldError, ZArmState, default_world, world_from_config
+from aptbot.world import WorldError, ZArmState, world_from_config
 from conftest import CANONICAL_PLAN
 from test_acceptance import _random_plan
 
@@ -306,7 +306,7 @@ def _perturb(rng, plan):
 
 def test_accepted_perturbed_oracle_plans_execute_to_the_validated_deliveries():
     rng = random.Random(44)
-    rooms = list(default_world().rooms)
+    rooms = list(world_from_config({}).rooms)
     items = ["aspirin", "ibuprofen", "water", "glass"]
     perturbed = accepted = rejected = 0
     for _ in range(400):
@@ -366,7 +366,7 @@ _FAULT_DETAIL = re.compile(
 
 def test_execute_never_raises_on_random_plans():
     rng = random.Random(45)
-    worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
+    worlds = [world_from_config({}), world_from_config({"clock_start": "12:00am"})]
     outcomes = set()
     for _ in range(3000):
         world = rng.choice(worlds)
@@ -389,7 +389,7 @@ _END_KINDS = {"GoalUnmet", "DeadlineMissed", "NotDockedAtEnd", "NotChargingAtEnd
 
 def test_execute_faults_with_the_validators_first_violation():
     rng = random.Random(11)
-    worlds = [default_world(), world_from_config({"clock_start": "12:00am"})]
+    worlds = [world_from_config({}), world_from_config({"clock_start": "12:00am"})]
     goal = Goal((("aspirin", 1),), "living_room", parse_clock("10:30pm"))
     seen = {"completed": 0, "faulted": 0, "world_error": 0}
     for _ in range(4000):

@@ -6,7 +6,7 @@ from aptbot.plan import Deliver, Pick, normalize, parse_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, execute
 from aptbot.validator import DurationModel, Goal, goal_waypoints, validate, violation
-from aptbot.world import WorldError, ZArmState, default_world, world_from_config
+from aptbot.world import WorldError, ZArmState, world_from_config
 from conftest import CANONICAL_PLAN
 
 START = ("living_room", parse_clock("9:54pm"))

@@ -12,7 +12,6 @@ from aptbot.world import (
     WorldError,
     WorldModel,
     ZArmState,
-    default_world,
     item_location,
     read_sensors,
     travel_time,
@@ -107,7 +106,7 @@ def test_world_requires_charging_port_for_charging_room():
     config = {"facilities": [{"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}}]}
     with pytest.raises(WorldError):
         world_from_config(config)
-    world = default_world()
+    world = world_from_config({})
     with pytest.raises(WorldError):
         WorldModel(
             world.rooms, world.travel, (Facility("water_cooler", "kitchen", {"water": None}),),
@@ -122,7 +121,7 @@ def test_world_refuses_a_repeated_room():
 
 def test_world_refuses_a_second_charging_port():
     ports = (Facility("charging_port", "living_room"), Facility("charging_port", "bedroom"))
-    world = default_world()
+    world = world_from_config({})
     with pytest.raises(WorldError, match="exactly one charging_port facility, has 2"):
         WorldModel(world.rooms, world.travel, ports, world.clock_start, world.capacity)
 
