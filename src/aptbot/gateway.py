@@ -137,7 +137,7 @@ class ScriptEntry(Record):
         self.response, self.exact, self.contains = response, exact, contains
         self.step, self.consumed = step, False
         if (exact, contains, step).count(None) != 2:
-            raise ValueError("script entry needs exactly one of exact/contains/step")
+            raise ValueError("match needs exactly one of exact/contains/step")
         if step is not None and step < 1:  # call indices are one-based
             raise ValueError(f"step must be at least 1, got {step}")
 

@@ -8,7 +8,7 @@ from aptbot.clock import MINUTES_PER_DAY, parse_clock
 from aptbot.oracle import plan_oracle
 from aptbot.plan import Charge, Deliver, Dock, Fill, TimedAction, serialize_plan
 from aptbot.simulator import COMPLETED, execute
-from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
+from aptbot.validator import DurationModel, Goal, UnachievableGoalError, start_run, validate
 from aptbot.world import ZArmState, world_from_config
 from conftest import CANONICAL_PLAN, small_world
 from oracle_reference import reference_enumerate_feasible, reference_plan_oracle
@@ -288,7 +288,7 @@ def test_oracle_equals_the_reference_oracle_on_random_worlds():
         assert seen[case] >= 10, seen
 
 
-def test_each_plan_is_built_once(world, medication_goal, monkeypatch):
+def test_only_the_chosen_plan_is_built(world, medication_goal, monkeypatch):
     # A target long after the earliest delivery shifts every order's plan.
     goal = Goal(medication_goal.deliveries, "living_room", parse_clock("10:45pm"))
     feasible = reference_enumerate_feasible(world, goal, DurationModel(), START, start_docked=True)
@@ -301,5 +301,20 @@ def test_each_plan_is_built_once(world, medication_goal, monkeypatch):
         return TimedAction(start, action)
 
     monkeypatch.setattr(aptbot.oracle, "TimedAction", counting)
-    plan_oracle(world, goal, DurationModel(), START, start_docked=True)
-    assert built == sum(len(plan.actions) for plan in feasible)
+    best = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+    assert built == len(best.actions) == 8
+
+
+def test_one_run_serves_the_dock_rule_and_the_build(world, medication_goal, monkeypatch):
+    runs = []
+
+    def recording(*args):
+        runs.append(start_run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(aptbot.oracle, "start_run", recording)
+    plan = plan_oracle(world, medication_goal, DurationModel(), START)
+    # The run starts undocked; the build walked it to the plan's end.
+    assert len(runs) == 1
+    assert (runs[0].docked, runs[0].charging) == (True, True)
+    assert runs[0].free_at == plan.actions[-1].start  # Charge takes no time

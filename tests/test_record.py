@@ -132,9 +132,9 @@ def test_defaults_and_fresh_containers():
         (lambda: ChatMessage("robot", "hi"), "unknown chat role: 'robot'"),
         (lambda: GenerationParams(temperature=2.5), "temperature out of range [0, 2]: 2.5"),
         (lambda: GenerationParams(max_output_tokens=0), "max_output_tokens must be at least 1"),
-        (lambda: ScriptEntry("reply"), "script entry needs exactly one of exact/contains/step"),
+        (lambda: ScriptEntry("reply"), "match needs exactly one of exact/contains/step"),
         (lambda: ScriptEntry("reply", exact="a", step=1),
-         "script entry needs exactly one of exact/contains/step"),
+         "match needs exactly one of exact/contains/step"),
         (lambda: ScriptEntry("reply", step=0), "step must be at least 1, got 0"),
         (lambda: AgentConfig(max_retries=-1), "max_retries must be non-negative"),
         (lambda: AgentConfig(tolerance=-1), "tolerance must be non-negative"),

@@ -135,6 +135,9 @@ def test_bad_script_entry_fails_at_load():
         parse_scenario({"script": [{"match": {"regex": "x"}, "response": "r"}]})
     with pytest.raises(ScenarioError, match="^script entry 0"):
         parse_scenario({"script": [{"response": "r"}]})
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"script": [{"match": {}, "response": "r"}]})
+    assert str(info.value) == "script entry 0: match needs exactly one of exact/contains/step"
 
 
 def test_scenario_world_override(tmp_path):
