@@ -4,10 +4,10 @@ Plans one trip: every item is picked up or filled, then all are delivered
 at once. Walks every ordering of the goal's pickup/fill waypoints
 (factorial, capped at 8) in one loop that only counts minutes: each order's
 earliest-feasible timing, shifted so the delivery completes as close to the
-target time as the window allows, and the best-ranked order so far. Then
-it builds that one order's plan on the validator's walk (`start_run`,
-`check`, `apply`). A goal that needs more item kinds than the arm carries
-is refused, though a plan of several trips may meet it.
+target time as the window allows, and the best-ranked order so far. Each
+stop action is timed once, by `validator.minutes`, and the winner is built
+from the minutes it was ranked by. A goal that needs more item kinds than
+the arm carries is refused, though a plan of several trips may meet it.
 Never called on the production path; the model is the planner there.
 """
 
@@ -17,7 +17,7 @@ from itertools import permutations
 
 from .clock import MINUTES_PER_DAY
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
-from .validator import DurationModel, Goal, apply, check, goal_waypoints, start_run
+from .validator import DurationModel, Goal, goal_waypoints, minutes, start_run
 from .world import WorldModel, travel_time
 
 MAX_WAYPOINTS = 8
@@ -45,35 +45,33 @@ def plan_oracle(
     # from the same stops. One waypoint per item, so the orders are distinct.
     stops = []
     for room, item, qty, kind in waypoints:
-        if kind == "water_cooler":
-            steps = ((Fill("glass", item), durations.fill_min),) * qty
-        else:
-            steps = ((Pick(item, qty), durations.pick_min),)
-        stops.append((room, item, steps))
+        fill = kind == "water_cooler"  # one Fill per unit, or one Pick of them all
+        action = Fill("glass", item) if fill else Pick(item, qty)
+        step = (action, minutes(world, room, action, durations))
+        stops.append((room, item, (step,) * (qty if fill else 1)))
     deliver = None
     tail = ()  # the stops after the waypoints, the same in every order
     if goal.deliveries:
-        deliver = Deliver(goal.deliveries, goal.destination)
-        tail = ((goal.destination, None, ((deliver, durations.deliver_min),)),)
-    # One run serves the dock rule and, after the ranking, the build. The arm
-    # stays docked only if no stop leaves the start room, in any order.
-    run = start_run(world, start[0], start_docked, start[1])
-    if not run.docked or any(room != start[0] for room, _, _ in (*stops, *tail)):
-        tail += ((world.charging_room, None, ((Dock(), durations.dock_min), (Charge(), 0))),)
+        room, deliver = goal.destination, Deliver(goal.deliveries, goal.destination)
+        tail = ((room, None, ((deliver, minutes(world, room, deliver, durations)),)),)
+    # The arm stays docked only if no stop leaves the start room, in any order.
+    docked = start_run(world, start[0], start_docked, start[1]).docked
+    if not docked or any(room != start[0] for room, _, _ in (*stops, *tail)):
+        room, dock, charge = world.charging_room, Dock(), Charge()
+        tail += ((room, None, (
+            (dock, minutes(world, room, dock, durations)),
+            (charge, minutes(world, room, charge, durations)),
+        )),)
     best = best_rank = None
     for order in permutations(stops):
-        # The minutes below repeat `validator.check`'s durations on purpose:
-        # ranking needs only each order's minutes, and walking every order on
-        # the validator's run state made the reference-answers benchmark's
-        # p90 22-35 % slower. Only the winner is built, on that walk, below.
         current, t = start
         delivery = None
         for room, _, steps in order + tail:
             if room != current:
                 t += travel_time(world, current, room)
                 current = room
-            for action, minutes in steps:
-                t += minutes
+            for action, spent in steps:
+                t += spent
                 if action is deliver:
                     delivery = t
         shift = 0
@@ -95,14 +93,14 @@ def plan_oracle(
     # Each action starts when the previous one completes; the first also waits
     # out the shift.
     order, shift = best
-    t = start[1] + shift
+    current, t = start[0], start[1] + shift
     actions: list[TimedAction] = []
     for room, _, steps in order + tail:
-        if room != run.location:
-            steps = ((Move(room), None), *steps)
-        for action, _ in steps:
-            timed = TimedAction(t, action)
-            _, t = check(run, world, len(actions), timed, durations)
-            apply(run, timed, t)
-            actions.append(timed)
+        if room != current:
+            actions.append(TimedAction(t, Move(room)))
+            t += travel_time(world, current, room)
+            current = room
+        for action, spent in steps:
+            actions.append(TimedAction(t, action))
+            t += spent
     return ActionPlan(tuple(actions))

@@ -23,7 +23,6 @@ _CONFIG_KEYS = {
     "max_retries", "tolerance", "token_budget", "temperature", "max_output_tokens", "model",
     "durations",
 }
-_DURATION_KEYS = {"pick", "fill", "deliver", "dock"}
 
 
 class ScenarioError(ValueError):
@@ -87,18 +86,12 @@ def _build_config(raw: dict) -> AgentConfig:
         raise ScenarioError(f"unknown config keys: {sorted(unknown)}")
     config = AgentConfig()
     params = config.params
-    durations = config.durations
-    sub = typed(raw, "durations", dict, {})
-    if not set(sub) <= _DURATION_KEYS:
-        raise ScenarioError(f"durations allows only keys {sorted(_DURATION_KEYS)}")
+    keys, sub = DurationModel.__slots__, typed(raw, "durations", dict, {})
+    if not set(sub) <= set(keys):
+        raise ScenarioError(f"durations allows only keys {sorted(keys)}")
     return AgentConfig(
         max_retries=typed(raw, "max_retries", int, config.max_retries),
-        durations=DurationModel(
-            pick_min=typed(sub, "pick", int, durations.pick_min),
-            fill_min=typed(sub, "fill", int, durations.fill_min),
-            deliver_min=typed(sub, "deliver", int, durations.deliver_min),
-            dock_min=typed(sub, "dock", int, durations.dock_min),
-        ),
+        durations=DurationModel(**{key: typed(sub, key, int) for key in keys if key in sub}),
         tolerance=typed(raw, "tolerance", int, config.tolerance),
         params=GenerationParams(
             temperature=typed(raw, "temperature", float, params.temperature),

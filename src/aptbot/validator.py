@@ -1,19 +1,20 @@
 """Static feasibility checking of a normalized plan, and the world rules.
 
 A timestamp is the action's start; completion = start + duration. The
-world rules (a run's start, timing, stock, payload, capacity, delivery,
-docking and charging) live here once: `start_run` starts a run, `check`
-finds every problem one action would hit and its completion, and `apply`
-carries it out. The simulator runs the same three. Getting the arm to the
-room an action needs (`plan.required_room`) is `normalize`'s job, so a plan
-with an action elsewhere, or an unknown room or item, raises WorldError
-here: it was not normalized. The validator walks the whole plan once. It
-returns each action's completion minute, in plan order, when the plan is
-valid, and otherwise every violation it finds, never just the first, as
-stable `VIOLATION <kind> <fields>` lines the agent can feed back. The
-simulator faults with the first of them, so a problem has one wording. The
-deadline is checked inside that walk: it notes when the goal delivery
-completes.
+world rules (a run's start, durations, timing, stock, payload, capacity,
+delivery, docking and charging) live here once: `start_run` starts a run,
+`minutes` times an action, `check` finds every problem one action would
+hit and its completion, and `apply` carries it out. The simulator runs
+`start_run`, `check` and `apply`, the oracle `minutes`. Getting the arm to
+the room an action needs (`plan.required_room`) is `normalize`'s job, so a
+plan with an action elsewhere, or an unknown room or item, raises
+WorldError here: it was not normalized. The validator walks the whole plan
+once. It returns each action's completion minute, in plan order, when the
+plan is valid, and otherwise every violation it finds, never just the
+first, as stable `VIOLATION <kind> <fields>` lines the agent can feed
+back. The simulator faults with the first of them, so a problem has one
+wording. The deadline is checked inside that walk: it notes when the goal
+delivery completes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
     TOO_MANY_DIGITS,
+    Action,
     ActionPlan,
     Charge,
     Deliver,
@@ -37,12 +39,9 @@ from .world import WorldError, WorldModel, item_location, travel_time
 
 
 class DurationModel(Record, frozen=True):
-    __slots__ = ("pick_min", "fill_min", "deliver_min", "dock_min")
-    def __init__(
-        self, pick_min: int = 1, fill_min: int = 1, deliver_min: int = 1, dock_min: int = 2
-    ):
-        self.pick_min, self.fill_min = pick_min, fill_min
-        self.deliver_min, self.dock_min = deliver_min, dock_min
+    __slots__ = ("pick", "fill", "deliver", "dock")
+    def __init__(self, pick: int = 1, fill: int = 1, deliver: int = 1, dock: int = 2):
+        self.pick, self.fill, self.deliver, self.dock = pick, fill, deliver, dock
         for name in self.__slots__:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -158,6 +157,24 @@ def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> Run
     return RunState(location, docked, docked, {}, stock, {}, clock, clock, clock)
 
 
+def minutes(world: WorldModel, room: str, action: Action, durations: DurationModel) -> int:
+    """How long `action` takes when it starts in `room`; the one duration rule."""
+    kind = type(action)
+    if kind is Move:
+        return travel_time(world, room, action.dest)
+    if kind is Wait:
+        return action.minutes
+    if kind is Pick:
+        return durations.pick
+    if kind is Fill:
+        return durations.fill
+    if kind is Deliver:
+        return durations.deliver
+    if kind is Dock:
+        return durations.dock
+    return 0  # Charge: charging takes no time
+
+
 def check(
     run: RunState, world: WorldModel, index: int, timed: TimedAction, durations: DurationModel
 ) -> tuple[list[Violation], int]:
@@ -181,11 +198,7 @@ def check(
         problems.append(violation("Chronology", index=index))
 
     room = run.location
-    if kind is Move:
-        minutes = travel_time(world, room, action.dest)
-    elif kind is Wait:
-        minutes = action.minutes
-    else:  # every other action needs a room
+    if kind is not Move and kind is not Wait:  # every other action needs a room
         needs = required_room(action, world)
         if needs != room:
             raise WorldError(f"action needs room {needs!r}, arm is in {room!r}")
@@ -196,22 +209,16 @@ def check(
                 problems.append(violation("ItemUnavailable", item=item, room=room))
             if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
                 problems.append(violation("CapacityExceeded", index=index))
-            minutes = durations.pick_min if kind is Pick else durations.fill_min
         elif kind is Deliver:
             problems.extend(
                 violation("ItemUnavailable", item=item, room=room)
                 for item, qty in item_totals(action.items).items()
                 if run.payload.get(item, 0) < qty
             )
-            minutes = durations.deliver_min
-        elif kind is Dock:
-            minutes = durations.dock_min
-        else:  # Charge
-            if not run.docked:
-                problems.append(violation("ItemUnavailable", item="charging_port", room=room))
-            minutes = 0  # charging takes no time
+        elif kind is Charge and not run.docked:
+            problems.append(violation("ItemUnavailable", item="charging_port", room=room))
 
-    completion = t + minutes
+    completion = t + minutes(world, room, action, durations)
     if completion >= MINUTES_PER_DAY > run.free_at:
         problems.append(violation("TimeWraparound"))
     return problems, completion

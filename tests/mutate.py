@@ -1,4 +1,5 @@
-"""Mutation check of the world rules: which one-operator edits the tests catch.
+"""Mutation check of the world rules and the request path: which one-operator
+edits the tests catch.
 
 Swaps one comparison (<, <=, >, >=, ==, !=, in, not in, is, is not) or one
 +/- at a time in the modules of MODULES. Each mutant is written into a
@@ -30,7 +31,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("validator", "world", "plan", "oracle", "simulator")
+MODULES = (
+    "validator", "world", "plan", "oracle", "simulator",
+    "agent", "prompts", "gateway", "scenario", "cli", "clock", "record",
+)
 WORKERS = 2
 HYPOTHESIS_SEED = 0  # so that a rerun judges each mutant alike
 

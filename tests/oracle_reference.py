@@ -56,22 +56,22 @@ def _build(
         if kind == "water_cooler":
             for _ in range(qty):
                 actions.append(TimedAction(t, Fill("glass", item)))
-                t += durations.fill_min
+                t += durations.fill
         else:
             actions.append(TimedAction(t, Pick(item, qty)))
-            t += durations.pick_min
+            t += durations.pick
 
     delivery_completion = None
     if deliver is not None:
         move_to(deliver.dest)
         actions.append(TimedAction(t, deliver))
-        t += durations.deliver_min
+        t += durations.deliver
         delivery_completion = t
 
     if not docked:
         move_to(world.charging_room)
         actions.append(TimedAction(t, Dock()))
-        t += durations.dock_min
+        t += durations.dock
         actions.append(TimedAction(t, Charge()))
 
     shift = 0

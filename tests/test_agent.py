@@ -331,6 +331,17 @@ def test_replan_feedback_counts_the_problems_it_leaves_out():
     assert problems[-1] == "and 3 more problems"
 
 
+def test_replan_feedback_at_the_cap_counts_nothing_left_out():
+    failures = [violation("Chronology", index=i) for i in range(FEEDBACK_PROBLEMS)]
+    problems = replan_feedback(failures).split("Problems found:\n", 1)[1].split("\n")
+    assert problems == [f.machine_line() for f in failures]
+
+
+def test_agent_config_accepts_its_least_values():
+    config = AgentConfig(max_retries=0, tolerance=0, token_budget=1)
+    assert (config.max_retries, config.tolerance, config.token_budget) == (0, 0, 1)
+
+
 class _RecordingBackend(ScriptedBackend):
     """Answers call k with the k-th reply; records every prompt and input size."""
 

@@ -49,6 +49,8 @@ def test_generation_params_validation():
         GenerationParams(max_output_tokens=0)
     assert GenerationParams().temperature == 0.2
     assert GenerationParams().model_name == "gpt-4"
+    assert GenerationParams(temperature=0, max_output_tokens=1).max_output_tokens == 1
+    assert GenerationParams(temperature=2).temperature == 2.0
 
 
 def test_render_history_keeps_pinned_and_newest_pairs():
@@ -294,6 +296,15 @@ def test_http_backend_server_error_surfaces_status():
         with pytest.raises(BackendError) as exc_info:
             backend.generate([ChatMessage("user", "x")], PARAMS)
         assert "500" in str(exc_info.value)
+
+
+def test_http_backend_status_300_is_not_a_success():
+    with StubChatServer() as server:
+        server.queued.append((300, {"choices": [{"message": {"content": "x"}}]}))
+        backend = HTTPBackend(server.url, api_key="k")
+        with pytest.raises(BackendError) as exc_info:
+            backend.generate([ChatMessage("user", "x")], PARAMS)
+        assert str(exc_info.value).startswith("backend returned status 300: ")
 
 
 def test_http_backend_empty_choices_is_malformed():

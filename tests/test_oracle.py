@@ -6,9 +6,9 @@ import pytest
 import aptbot.oracle
 from aptbot.clock import MINUTES_PER_DAY, parse_clock
 from aptbot.oracle import plan_oracle
-from aptbot.plan import Charge, Deliver, Dock, Fill, TimedAction, serialize_plan
+from aptbot.plan import Charge, Deliver, Dock, Fill, Move, TimedAction, serialize_plan
 from aptbot.simulator import COMPLETED, execute
-from aptbot.validator import DurationModel, Goal, UnachievableGoalError, start_run, validate
+from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
 from aptbot.world import ZArmState, world_from_config
 from conftest import CANONICAL_PLAN, small_world
 from oracle_reference import reference_enumerate_feasible, reference_plan_oracle
@@ -265,6 +265,11 @@ def test_oracle_equals_the_reference_oracle_on_random_worlds():
 
         best = _outcome(plan_oracle, *args, start_docked=docked)
         assert best == _outcome(reference_plan_oracle, *args, start_docked=docked)
+        if not isinstance(best, tuple):  # each action starts as the previous completes
+            result = validate(best, world, goal, durations, start, start_docked=docked)
+            assert result.ok, result.violations
+            starts = [timed.start for timed in best.actions]
+            assert starts[1:] == result.completions[:-1]
 
         seen["multi-unit fill"] += any(
             item in ("water", "glass") and qty > 1 for item, qty in deliveries
@@ -305,16 +310,18 @@ def test_only_the_chosen_plan_is_built(world, medication_goal, monkeypatch):
     assert built == len(best.actions) == 8
 
 
-def test_one_run_serves_the_dock_rule_and_the_build(world, medication_goal, monkeypatch):
-    runs = []
+def test_each_stop_action_is_timed_once_not_once_per_order(monkeypatch):
+    world = world_from_config({"capacity": 3})
+    goal = Goal((("aspirin", 1), ("ibuprofen", 1), ("water", 1)), "living_room",
+                parse_clock("10:15pm"))
+    real, calls = aptbot.oracle.minutes, 0
 
-    def recording(*args):
-        runs.append(start_run(*args))
-        return runs[-1]
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
 
-    monkeypatch.setattr(aptbot.oracle, "start_run", recording)
-    plan = plan_oracle(world, medication_goal, DurationModel(), START)
-    # The run starts undocked; the build walked it to the plan's end.
-    assert len(runs) == 1
-    assert (runs[0].docked, runs[0].charging) == (True, True)
-    assert runs[0].free_at == plan.actions[-1].start  # Charge takes no time
+    monkeypatch.setattr(aptbot.oracle, "minutes", counting)
+    plan = plan_oracle(world, goal, DurationModel(), START, start_docked=True)
+    # Pick, Pick, Fill, Deliver, Dock and Charge, over 3! = 6 orders.
+    assert calls == sum(type(a.action) is not Move for a in plan.actions) == 6

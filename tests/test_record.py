@@ -32,7 +32,7 @@ def _value_records():
         ActionPlan((TimedAction(600, Move("kitchen")), TimedAction(602, Dock()))),
         Goal((("water", 1),), "bedroom", 1320, tolerance=3),
         Violation("DeadlineMissed", (("index", 4), ("late_by", 2))),
-        DurationModel(dock_min=3),
+        DurationModel(dock=3),
         ChatMessage("user", "bring water"),
         GenerationParams(temperature=0.5),
         AgentConfig(max_retries=1),
@@ -128,7 +128,7 @@ def test_defaults_and_fresh_containers():
         (lambda: Goal((("water", 0),), "kitchen", 0), "delivery quantities must be positive"),
         (lambda: Goal((("water", 10**4300 - 1), ("water", 1)), "kitchen", 0),
          "qty has too many digits"),
-        (lambda: DurationModel(fill_min=-1), "fill_min must be >= 0"),
+        (lambda: DurationModel(fill=-1), "fill must be >= 0"),
         (lambda: ChatMessage("robot", "hi"), "unknown chat role: 'robot'"),
         (lambda: GenerationParams(temperature=2.5), "temperature out of range [0, 2]: 2.5"),
         (lambda: GenerationParams(max_output_tokens=0), "max_output_tokens must be at least 1"),

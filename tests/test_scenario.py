@@ -5,6 +5,7 @@ import pytest
 from aptbot.gateway import ChatMessage, GenerationParams
 from aptbot.prompts import RequestType
 from aptbot.scenario import ScenarioError, load_scenario, parse_scenario
+from aptbot.validator import DurationModel
 
 
 def test_load_medication_scenario(scenario_path):
@@ -63,6 +64,14 @@ def test_template_override_merges_onto_defaults():
     assert "z-arm" in untouched.description
 
 
+def test_template_override_may_set_both_keys():
+    scenario = parse_scenario(
+        {"templates": {"A_take_medicine": {"description": "desc", "examples": "ex"}}}
+    )
+    entry = scenario.templates[RequestType.A_TAKE_MEDICINE]
+    assert (entry.description, entry.examples) == ("desc", "ex")
+
+
 def test_template_override_unknown_key_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario({"templates": {"D_party_planning": {"description": "x"}}})
@@ -91,9 +100,22 @@ def test_config_section_round_trip():
     assert config.params.temperature == 0.0
     assert config.params.max_output_tokens == 256
     assert config.params.model_name == "gpt-3.5-turbo"
-    assert config.durations.pick_min == 2
-    assert config.durations.fill_min == 1
-    assert config.durations.dock_min == 3
+    assert config.durations.pick == 2
+    assert config.durations.fill == 1
+    assert config.durations.dock == 3
+
+
+def test_durations_may_set_all_four_keys():
+    durations = {"pick": 4, "fill": 3, "deliver": 2, "dock": 1}
+    config = parse_scenario({"config": {"durations": durations}}).config
+    assert config.durations == DurationModel(4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("key", ["pick", "fill", "deliver", "dock"])
+def test_a_negative_duration_names_its_scenario_key(key):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"config": {"durations": {key: -1}}})
+    assert str(info.value) == f"{key} must be >= 0"
 
 
 def test_integer_temperature_is_sent_as_a_float():
@@ -137,6 +159,11 @@ def test_bad_script_entry_fails_at_load():
         parse_scenario({"script": [{"response": "r"}]})
     with pytest.raises(ScenarioError) as info:
         parse_scenario({"script": [{"match": {}, "response": "r"}]})
+    assert str(info.value) == "script entry 0: match needs exactly one of exact/contains/step"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"script": [
+            {"match": {"exact": "a", "contains": "b", "step": 1}, "response": "r"}
+        ]})
     assert str(info.value) == "script entry 0: match needs exactly one of exact/contains/step"
 
 

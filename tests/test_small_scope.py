@@ -29,8 +29,8 @@ ACTIONS = (
 )
 DURATIONS = DurationModel()
 MINUTES = {
-    Pick: DURATIONS.pick_min, Fill: DURATIONS.fill_min, Deliver: DURATIONS.deliver_min,
-    Dock: DURATIONS.dock_min, Charge: 0,
+    Pick: DURATIONS.pick, Fill: DURATIONS.fill, Deliver: DURATIONS.deliver,
+    Dock: DURATIONS.dock, Charge: 0,
 }
 
 

@@ -337,7 +337,7 @@ def test_custom_durations_shift_completions(world):
         "[10:05pm] Start charging"
     )
     plan = normalize(parse_plan(text), world, "living_room")
-    durations = DurationModel(pick_min=3)
+    durations = DurationModel(pick=3)
     result = validate(plan, world, goal, durations, START, start_docked=True)
     assert result.ok
     assert type(plan.actions[1].action) is Pick
