@@ -3,21 +3,23 @@
 A timestamp is the action's start; completion = start + duration. The
 world rules (a run's start, durations, timing, stock, payload, capacity,
 delivery, docking and charging) live here once: `start_run` starts a run,
-`minutes` times an action, `check` finds every problem one action would
-hit and its completion, and `apply` carries it out. The simulator runs
-`start_run`, `check` and `apply`, the oracle `minutes`. Getting the arm to
-the room an action needs (`plan.required_room`) is `normalize`'s job, so a
-plan with an action elsewhere, or an unknown room or item, raises
-WorldError here: it was not normalized. The validator walks the whole plan
-once. It returns each action's completion minute, in plan order, when the
-plan is valid, and otherwise every violation it finds, never just the
-first, as stable `VIOLATION <kind> <fields>` lines the agent can feed
-back. The simulator faults with the first of them, so a problem has one
-wording. The deadline is checked inside that walk: it notes when the goal
-delivery completes.
+`minutes` times an action, and `walk` finds every problem each action of
+a plan would hit and its completion, then, when resumed, carries it out.
+The validator runs the whole walk, the simulator runs it up to the first
+problem, and the oracle times its stops with `minutes`. Getting the arm to
+the room an action needs (`plan.required_room`) is `normalize`'s job, so
+a plan with an action elsewhere, or an unknown room or item, raises
+WorldError here: it was not normalized. `validate` returns each action's
+completion minute, in plan order, when the plan is valid, and otherwise
+every violation it finds, never just the first, as stable
+`VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
+faults with the first of them, so a problem has one wording. The deadline
+is checked inside the walk: it notes when the goal delivery completes.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .clock import MINUTES_PER_DAY, format_clock
 from .plan import (
@@ -127,25 +129,20 @@ class ValidationResult(Record):
 
 
 class RunState(Record):
-    """What a run changes; only `start_run` and `apply` write it. `stock`
+    """What a run changes; only `start_run` and `walk` write it. `stock`
     maps (room, item) to the quantity left there, None for unbounded;
     `delivered` maps room -> item -> quantity. `free_at` is the latest
-    completion so far, `last_start` the previous action's start, and
-    `arrival` when that action put the arm in its room: its completion after
-    a Move, else its start."""
+    completion so far."""
 
-    __slots__ = (
-        "location", "docked", "charging", "payload", "stock", "delivered",
-        "free_at", "last_start", "arrival",
-    )
+    __slots__ = ("location", "docked", "charging", "payload", "stock", "delivered", "free_at")
     def __init__(
         self, location: str, docked: bool, charging: bool, payload: dict[str, int],
         stock: dict[tuple[str, str], int | None], delivered: dict[str, dict[str, int]],
-        free_at: int, last_start: int, arrival: int,
+        free_at: int,
     ):
         self.location, self.docked, self.charging = location, docked, charging
         self.payload, self.stock, self.delivered = payload, stock, delivered
-        self.free_at, self.last_start, self.arrival = free_at, last_start, arrival
+        self.free_at = free_at
 
 
 def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> RunState:
@@ -154,7 +151,7 @@ def start_run(world: WorldModel, location: str, docked: bool, clock: int) -> Run
     `docked` and `location` is the world's charging room."""
     docked = docked and location == world.charging_room
     stock = dict(world.initial_stock)
-    return RunState(location, docked, docked, {}, stock, {}, clock, clock, clock)
+    return RunState(location, docked, docked, {}, stock, {}, clock)
 
 
 def minutes(world: WorldModel, room: str, action: Action, durations: DurationModel) -> int:
@@ -175,84 +172,82 @@ def minutes(world: WorldModel, room: str, action: Action, durations: DurationMod
     return 0  # Charge: charging takes no time
 
 
-def check(
-    run: RunState, world: WorldModel, index: int, timed: TimedAction, durations: DurationModel
-) -> tuple[list[Violation], int]:
-    """Each problem the plan's `index`-th action would hit, and its completion;
-    nothing changes.
+def walk(
+    run: RunState, world: WorldModel, plan: ActionPlan, durations: DurationModel
+) -> Iterator[tuple[int, TimedAction, list[Violation], int]]:
+    """Judge each action of `plan` on `run`, then, when resumed, carry it out.
 
-    In order: its timing against the run's, the world rules in the arm's
-    room, and `TimeWraparound` on the run's first completion past midnight.
-    An action started while the previous Move is under way blames that Move,
-    any other early start is this action's `Chronology`. An unknown room or
-    item, or an action away from the room it needs (`required_room`), raises
-    WorldError: a normalized plan has none."""
-    t, action = timed.start, timed.action
-    kind, problems = type(action), []
-    if run.last_start <= t < run.arrival:
-        problems.append(violation(
-            "TravelInfeasible", index=index - 1, needed=run.arrival - run.last_start,
-            available=t - run.last_start,
-        ))
-    elif t < run.free_at:
-        problems.append(violation("Chronology", index=index))
+    Yields (index, timed action, its problems, its completion) before the
+    action changes anything, so a consumer that stops at a yield leaves `run`
+    as the previous action left it. Problems come in order: the action's
+    timing against the run's, the world rules in the arm's room, and
+    `TimeWraparound` on the run's first completion past midnight. An action
+    started while the previous Move is under way blames that Move, any other
+    early start is its own `Chronology`. An unknown room or item, or an
+    action away from the room it needs (`required_room`), raises WorldError:
+    a normalized plan has none. Once resumed, Pick, Fill and Deliver go ahead
+    on short stock or payload, so that the validator can keep scanning.
+    """
+    # The previous action's start, and when it put the arm in its room: its
+    # completion after a Move, else its start.
+    last_start = arrival = run.free_at
+    for index, timed in enumerate(plan.actions):
+        t, action = timed.start, timed.action
+        kind, problems = type(action), []
+        if last_start <= t < arrival:
+            problems.append(violation(
+                "TravelInfeasible", index=index - 1, needed=arrival - last_start,
+                available=t - last_start,
+            ))
+        elif t < run.free_at:
+            problems.append(violation("Chronology", index=index))
 
-    room = run.location
-    if kind is not Move and kind is not Wait:  # every other action needs a room
-        needs = required_room(action, world)
-        if needs != room:
-            raise WorldError(f"action needs room {needs!r}, arm is in {room!r}")
-        if kind is Pick or kind is Fill:
-            item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
+        room = run.location
+        if kind is not Move and kind is not Wait:  # every other action needs a room
+            needs = required_room(action, world)
+            if needs != room:
+                raise WorldError(f"action needs room {needs!r}, arm is in {room!r}")
+            if kind is Pick or kind is Fill:
+                item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
+                left = run.stock[(room, item)]
+                if left is not None and left < qty:
+                    problems.append(violation("ItemUnavailable", item=item, room=room))
+                if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
+                    problems.append(violation("CapacityExceeded", index=index))
+            elif kind is Deliver:
+                problems.extend(
+                    violation("ItemUnavailable", item=item, room=room)
+                    for item, qty in item_totals(action.items).items()
+                    if run.payload.get(item, 0) < qty
+                )
+            elif kind is Charge and not run.docked:
+                problems.append(violation("ItemUnavailable", item="charging_port", room=room))
+
+        completion = t + minutes(world, room, action, durations)
+        if completion >= MINUTES_PER_DAY > run.free_at:
+            problems.append(violation("TimeWraparound"))
+        yield index, timed, problems, completion
+
+        if kind is Move:
+            run.location, run.docked, run.charging = action.dest, False, False
+        elif kind is Pick or kind is Fill:
             left = run.stock[(room, item)]
-            if left is not None and left < qty:
-                problems.append(violation("ItemUnavailable", item=item, room=room))
-            if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
-                problems.append(violation("CapacityExceeded", index=index))
+            if left is not None and left >= qty:
+                run.stock[(room, item)] = left - qty
+            run.payload[item] = run.payload.get(item, 0) + qty
         elif kind is Deliver:
-            problems.extend(
-                violation("ItemUnavailable", item=item, room=room)
-                for item, qty in item_totals(action.items).items()
-                if run.payload.get(item, 0) < qty
-            )
-        elif kind is Charge and not run.docked:
-            problems.append(violation("ItemUnavailable", item="charging_port", room=room))
-
-    completion = t + minutes(world, room, action, durations)
-    if completion >= MINUTES_PER_DAY > run.free_at:
-        problems.append(violation("TimeWraparound"))
-    return problems, completion
-
-
-def apply(run: RunState, timed: TimedAction, completion: int) -> None:
-    """Carry the action out on `run` as far as it can go, ending at `completion`.
-
-    Pick, Fill and Deliver go ahead on short stock or payload, so that the
-    validator can keep scanning; a step is atomic only if `check` found no
-    problem."""
-    t, action = timed.start, timed.action
-    kind = type(action)
-    if kind is Move:
-        run.location, run.docked, run.charging = action.dest, False, False
-    elif kind is Pick or kind is Fill:
-        item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
-        left = run.stock[(run.location, item)]
-        if left is not None and left >= qty:
-            run.stock[(run.location, item)] = left - qty
-        run.payload[item] = run.payload.get(item, 0) + qty
-    elif kind is Deliver:
-        dropped = run.delivered.setdefault(run.location, {})
-        for item, qty in action.items:
-            have = run.payload.pop(item, 0)
-            if have > qty:
-                run.payload[item] = have - qty
-            dropped[item] = dropped.get(item, 0) + min(have, qty)
-    elif kind is Dock:
-        run.docked = True
-    elif kind is Charge:
-        run.charging = True
-    run.last_start, run.arrival = t, completion if kind is Move else t
-    run.free_at = max(run.free_at, completion)
+            dropped = run.delivered.setdefault(room, {})
+            for item, qty in action.items:
+                have = run.payload.pop(item, 0)
+                if have > qty:
+                    run.payload[item] = have - qty
+                dropped[item] = dropped.get(item, 0) + min(have, qty)
+        elif kind is Dock:
+            run.docked = True
+        elif kind is Charge:
+            run.charging = True
+        last_start, arrival = t, completion if kind is Move else t
+        run.free_at = max(run.free_at, completion)
 
 
 def validate(
@@ -266,7 +261,7 @@ def validate(
 ) -> ValidationResult:
     """Check the whole plan: each action's completion minute, or every violation.
 
-    Reports each action's `check` problems, then goal coverage, the
+    Reports each action's `walk` problems, then goal coverage, the
     deadline window, and ending docked and charging. The plan must be
     normalized from `start`'s room (`normalize`): an unknown room or item,
     or an action away from the room it needs, raises WorldError.
@@ -278,11 +273,9 @@ def validate(
     goal_items = {item for item, _ in goal.deliveries}
     delivered_at = None  # completion of the last delivery of a goal item there
 
-    for i, ta in enumerate(plan.actions):
+    for _, ta, problems, completion in walk(run, world, plan, durations):
         action = ta.action
-        problems, completion = check(run, world, i, ta, durations)
         violations.extend(problems)
-        apply(run, ta, completion)
         if (
             type(action) is Deliver
             and action.dest == goal.destination

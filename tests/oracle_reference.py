@@ -36,8 +36,8 @@ def _build(
     order cannot meet the deadline window or runs past midnight. `deliver`
     is the goal's one delivery, None when it delivers nothing.
     """
-    # The minutes below repeat `validator.check`'s durations on purpose: a
-    # chain built on the validator's run state (`start_run`, `apply`) made
+    # The minutes below repeat `validator.walk`'s durations on purpose: a
+    # chain built on the validator's run state (`start_run`, `walk`) made
     # the reference-answers benchmark's p90 22-35 % slower.
     room, clock = start
     actions: list[TimedAction] = []

@@ -154,6 +154,17 @@ def test_fault_on_move_to_unknown_room(world):
     assert render_event_log(log) == "9:54pm fault unknown room 'attic'"
 
 
+def test_a_world_error_on_a_later_action_is_stamped_when_the_run_is_free(world):
+    log = _run_raw("[9:56pm] Move to the kitchen\n[9:57pm] Pick 1 aspirin", world)
+    assert render_event_log(log) == (
+        "9:56pm depart living_room -> kitchen\n"
+        "9:58pm arrive kitchen\n"
+        "9:58pm fault action needs room 'storeroom', arm is in 'kitchen'"
+    )
+    assert log.final_state.location == "kitchen"
+    assert not log.final_state.docked
+
+
 def test_fault_on_move_from_a_room_the_world_lacks(world):
     plan = parse_plan("[10:00pm] Move to the kitchen")
     log = execute(plan, world, ZArmState("garage"), DurationModel())

@@ -5,7 +5,15 @@ from aptbot.oracle import plan_oracle
 from aptbot.plan import Deliver, Pick, normalize, parse_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, execute
-from aptbot.validator import DurationModel, Goal, goal_waypoints, validate, violation
+from aptbot.validator import (
+    DurationModel,
+    Goal,
+    goal_waypoints,
+    start_run,
+    validate,
+    violation,
+    walk,
+)
 from aptbot.world import WorldError, ZArmState, world_from_config
 from conftest import CANONICAL_PLAN
 
@@ -26,6 +34,37 @@ def test_medication_plan_is_valid(world, medication_goal):
     assert ends[0] == (parse_clock("9:56pm"), parse_clock("9:58pm"))
     assert ends[-2] == (parse_clock("10:05pm"), parse_clock("10:07pm"))
     assert ends[-1] == (parse_clock("10:07pm"), parse_clock("10:07pm"))
+
+
+def test_walk_yields_each_action_of_the_plan_with_its_completion(world, medication_goal):
+    plan = normalize(parse_plan(CANONICAL_PLAN), world, START[0])
+    run = start_run(world, START[0], True, START[1])
+    steps = list(walk(run, world, plan, DurationModel()))
+    assert [index for index, _, _, _ in steps] == list(range(len(plan.actions)))
+    assert tuple(timed for _, timed, _, _ in steps) == plan.actions
+    assert all(problems == [] for _, _, problems, _ in steps)
+    result = validate(plan, world, medication_goal, DurationModel(), START, start_docked=True)
+    assert [completion for _, _, _, completion in steps] == result.completions
+
+
+def test_a_walk_stopped_at_a_problem_leaves_the_run_as_the_previous_action_did():
+    world = world_from_config({"stock": {"medicine_box": {"aspirin": 1}}, "clock_start": "9:54pm"})
+    text = "[9:56pm] Move to the storeroom\n[9:58pm] Pick 2 aspirin"
+    plan = normalize(parse_plan(text), world, START[0])
+    run = start_run(world, START[0], True, START[1])
+    steps = walk(run, world, plan, DurationModel())
+    for index, _, problems, _ in steps:
+        if problems:
+            break
+    steps.close()
+    assert index == 1
+    assert problems == [violation("ItemUnavailable", item="aspirin", room="storeroom")]
+    # As the Move left it: in the storeroom at 9:58pm, nothing picked.
+    assert run.stock == world.initial_stock
+    assert run.stock[("storeroom", "aspirin")] == 1
+    assert run.payload == {}
+    assert run.free_at == parse_clock("9:58pm")
+    assert run.location == "storeroom" and not run.docked
 
 
 def test_kitchen_first_variant_is_valid(world, medication_goal):
