@@ -1,14 +1,17 @@
 """Brute-force baseline planner used as ground truth in tests.
 
 Plans one trip: every item is picked up or filled, then all are delivered
-at once. Walks every ordering of the goal's pickup/fill waypoints
-(factorial, capped at 8) in one loop that only counts minutes: each order's
-earliest-feasible timing, shifted so the delivery completes as close to the
-target time as the window allows, and the best-ranked order so far. Each
-stop action is timed once, by `validator.minutes`, and the winner is built
-from the minutes it was ranked by. A goal that needs more item kinds than
-the arm carries is refused, though a plan of several trips may meet it.
-Never called on the production path; the model is the planner there.
+at once. Every ordering of the goal's pickup/fill waypoints (factorial,
+capped at 8) takes the same stop actions and the same tail, so one loop
+ranks each order by its travel alone, from the start room through the
+waypoints to the first tail stop, and keeps the least
+(max(travel, slack), rooms, items). Only the winner is built, shifted so
+the delivery completes as close to the target time as the window allows,
+and only its timing is judged against the deadline window and midnight.
+Each stop action is timed once, by `validator.minutes`. A goal that needs
+more item kinds than the arm carries is refused, though a plan of several
+trips may meet it. Never called on the production path; the model is the
+planner there.
 """
 
 from __future__ import annotations
@@ -62,38 +65,33 @@ def plan_oracle(
             (dock, minutes(world, room, dock, durations)),
             (charge, minutes(world, room, charge, durations)),
         )),)
+    # Every order takes the same stop actions and the same tail, so orders
+    # differ only in their travel: from the start room, through the waypoints,
+    # to the first tail stop. `slack` is the travel that would deliver exactly
+    # on the target; an order that travels less waits out the difference.
+    # Closeness and completion both grow with max(travel, slack), and an
+    # order misses the window or midnight only once that passes a bound, so
+    # the least-ranked order fits exactly when some order does.
+    slack = 0
+    if deliver is not None:
+        fixed = sum(spent for _, _, steps in (*stops, tail[0]) for _, spent in steps)
+        slack = goal.target_time - start[1] - fixed
     best = best_rank = None
     for order in permutations(stops):
-        current, t = start
-        delivery = None
-        for room, _, steps in order + tail:
+        current, travel = start[0], 0
+        for room, _, _ in order + tail[:1]:
             if room != current:
-                t += travel_time(world, current, room)
+                travel += travel_time(world, current, room)
                 current = room
-            for action, spent in steps:
-                t += spent
-                if action is deliver:
-                    delivery = t
-        shift = 0
-        if delivery is not None:
-            if delivery > goal.target_time + goal.tolerance:
-                continue  # already too late; shifting only delays further
-            shift = max(0, goal.target_time - delivery)
-            delivery += shift
-        if t + shift >= MINUTES_PER_DAY:
-            continue
-        closeness = abs(delivery - goal.target_time) if delivery is not None else 0
         rooms = tuple(stop[0] for stop in order)
         items = tuple(stop[1] for stop in order)
-        rank = (closeness, t + shift, rooms, items)
+        rank = (max(travel, slack), rooms, items)
         if best is None or rank < best_rank:
-            best, best_rank = (order, shift), rank
-    if best is None:
-        raise ValueError("no waypoint ordering fits the deadline window")
+            best, best_rank = (order, travel), rank
     # Each action starts when the previous one completes; the first also waits
-    # out the shift.
-    order, shift = best
-    current, t = start[0], start[1] + shift
+    # out the shift onto the target.
+    order, travel = best
+    current, t = start[0], start[1] + max(0, slack - travel)
     actions: list[TimedAction] = []
     for room, _, steps in order + tail:
         if room != current:
@@ -103,4 +101,7 @@ def plan_oracle(
         for action, spent in steps:
             actions.append(TimedAction(t, action))
             t += spent
+    # Unshifted, the winner delivers travel - slack minutes after the target.
+    if deliver is not None and travel - slack > goal.tolerance or t >= MINUTES_PER_DAY:
+        raise ValueError("no waypoint ordering fits the deadline window")
     return ActionPlan(tuple(actions))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -8,8 +9,8 @@ from aptbot.clock import MINUTES_PER_DAY, parse_clock
 from aptbot.oracle import plan_oracle
 from aptbot.plan import Charge, Deliver, Dock, Fill, Move, TimedAction, serialize_plan
 from aptbot.simulator import COMPLETED, execute
-from aptbot.validator import DurationModel, Goal, UnachievableGoalError, validate
-from aptbot.world import ZArmState, world_from_config
+from aptbot.validator import DurationModel, Goal, UnachievableGoalError, goal_waypoints, validate
+from aptbot.world import ZArmState, travel_time, world_from_config
 from conftest import CANONICAL_PLAN, small_world
 from oracle_reference import reference_enumerate_feasible, reference_plan_oracle
 
@@ -136,7 +137,7 @@ def test_waypoint_cap_is_enforced():
 
 
 def test_eight_waypoints_are_within_the_cap():
-    # A target already past makes every order too late, so each is refused quickly.
+    # A target already past makes every order too late, so the winner is refused.
     pills = [f"pill{i}" for i in range(8)]
     world = world_from_config(
         {"stock": {"medicine_box": {pill: 1 for pill in pills}}, "capacity": 8}
@@ -219,6 +220,29 @@ def _outcome(planner, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _travel(world, route):
+    """Minutes of travel along `route`, a sequence of rooms."""
+    return sum(travel_time(world, a, b) for a, b in zip(route, route[1:]))
+
+
+def _travels_more(world, goal, start, plan):
+    """Whether `plan` travels more, from the start room to the delivery, than
+    the least-travel waypoint order. Orders that all land on the target tie on
+    closeness and completion, so rooms, then items, may pick such a plan."""
+    if not goal.deliveries:
+        return False
+    route = [start[0]]
+    for timed in plan.actions:
+        if isinstance(timed.action, Deliver):
+            break
+        if isinstance(timed.action, Move):
+            route.append(timed.action.dest)
+    rooms = [room for room, _, _, _ in goal_waypoints(world, goal)]
+    orders = permutations(rooms)
+    least = min(_travel(world, (start[0], *order, goal.destination)) for order in orders)
+    return _travel(world, route) > least
+
+
 def test_oracle_equals_the_reference_oracle_on_random_worlds():
     """Same best plan or refusal as the permutation oracle that built each
     plan twice and ranked a list of candidates (`oracle_reference`)."""
@@ -279,6 +303,7 @@ def test_oracle_equals_the_reference_oracle_on_random_worlds():
         seen["near midnight"] += late
         if not isinstance(best, tuple):
             seen["planned"] += 1
+            seen["winner travels more than the least"] += _travels_more(world, goal, start, best)
         elif best[1] == "no waypoint ordering fits the deadline window":
             seen["no order fits"] += 1
             # No order is too late for this tolerance, so only midnight refuses.
@@ -288,7 +313,7 @@ def test_oracle_equals_the_reference_oracle_on_random_worlds():
             )
     for case in (
         "multi-unit fill", "docked start", "delivered to the port", "near midnight", "planned",
-        "no order fits", "refused at midnight",
+        "no order fits", "refused at midnight", "winner travels more than the least",
     ):
         assert seen[case] >= 10, seen
 
