@@ -28,7 +28,8 @@ from .prompts import (
 from .record import Record
 from .simulator import FAULT, EventLog, execute
 from .validator import (
-    DurationModel, Goal, UnachievableGoalError, Violation, goal_waypoints, validate,
+    DurationModel, Goal, UnachievableGoalError, ValidationResult, Violation, goal_waypoints,
+    validate,
 )
 from .world import WorldError, WorldModel, ZArmState, read_sensors
 
@@ -113,16 +114,25 @@ def _goal_attempt(reply: str, tolerance: int) -> Goal | list[GoalSlotError]:
         return [exc]
 
 
+def check_plan(
+    text: str, world: WorldModel, arm: ZArmState, goal: Goal, durations: DurationModel
+) -> tuple[ActionPlan, ValidationResult]:
+    """Parse `text`, normalize it from the arm's room, and validate it from
+    the arm's start at the world's clock. Raises PlanParseError, or
+    WorldError for a name the world lacks."""
+    plan = normalize(parse_plan(text), world, arm.location)
+    start = (arm.location, world.clock_start)
+    return plan, validate(plan, world, goal, durations, start, start_docked=arm.docked)
+
+
 def _plan_attempt(
     reply: str, world: WorldModel, arm: ZArmState, goal: Goal, config: AgentConfig
 ) -> tuple[ActionPlan, EventLog] | list:
     """Judge one plan reply: (plan, log) if it executes, else its failures."""
     try:
-        canonical = normalize(parse_plan(reply), world, arm.location)
+        canonical, result = check_plan(reply, world, arm, goal, config.durations)
     except (PlanParseError, WorldError) as exc:
         return [exc]
-    start = (arm.location, world.clock_start)
-    result = validate(canonical, world, goal, config.durations, start, start_docked=arm.docked)
     if not result.ok:
         return list(result.violations)
     # A validated plan should always complete; a fault here is the simulator's.

@@ -10,14 +10,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agent import FULFILLED, RequestOutcome, handle_request
+from .agent import FULFILLED, RequestOutcome, check_plan, handle_request
 from .clock import format_clock
-from .gateway import BackendError, ChatMessage, default_model_from_env, http_backend_from_env
-from .plan import PlanParseError, action_phrase, normalize, parse_plan, serialize_plan
+from .gateway import (
+    Backend, BackendError, ChatMessage, default_model_from_env, http_backend_from_env,
+)
+from .plan import PlanParseError, action_phrase, serialize_plan
 from .prompts import GoalSlotError, ScaffoldMarkerError, parse_goal_slots
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simulator import render_event_log
-from .validator import validate
 from .world import WorldError, ZArmState
 
 # Everything a command raises for bad input: a file, a scenario section, a
@@ -55,6 +56,14 @@ def _write_outputs(outcome: RequestOutcome, out_dir: Path) -> None:
     (out_dir / "events.txt").write_text(events_text, encoding="utf-8")
 
 
+def _handle(request: str, scenario: Scenario, backend: Backend) -> RequestOutcome:
+    """One request from a docked arm, with the scenario's world, config and templates."""
+    return handle_request(
+        request, scenario.world, fresh_arm(scenario.world), backend,
+        config=scenario.config, templates=scenario.templates,
+    )
+
+
 def run_scenario(scenario: Scenario, out_root: Path) -> list[RequestOutcome]:
     """Run every request against one shared scripted backend.
 
@@ -65,15 +74,7 @@ def run_scenario(scenario: Scenario, out_root: Path) -> list[RequestOutcome]:
     backend = scenario.make_backend()
     outcomes = []
     for index, request in enumerate(scenario.requests, start=1):
-        arm = fresh_arm(scenario.world)
-        outcome = handle_request(
-            request,
-            scenario.world,
-            arm,
-            backend,
-            config=scenario.config,
-            templates=scenario.templates,
-        )
+        outcome = _handle(request, scenario, backend)
         _write_outputs(outcome, out_root / f"request_{index:03d}")
         outcomes.append(outcome)
     return outcomes
@@ -119,14 +120,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         if request == ":quit":
             return 0
         try:
-            outcome = handle_request(
-                request,
-                scenario.world,
-                fresh_arm(scenario.world),
-                backend,
-                config=scenario.config,
-                templates=scenario.templates,
-            )
+            outcome = _handle(request, scenario, backend)
         except ScaffoldMarkerError as exc:
             print(f"error: {exc}")
             continue
@@ -138,10 +132,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     world, config = scenario.world, scenario.config
     goal = parse_goal_slots(args.goal, tolerance=config.tolerance)
     text = Path(args.planfile).read_text(encoding="utf-8")
-    arm = fresh_arm(world)
-    plan = normalize(parse_plan(text), world, arm.location)
-    start = (arm.location, world.clock_start)
-    result = validate(plan, world, goal, config.durations, start, start_docked=arm.docked)
+    plan, result = check_plan(text, world, fresh_arm(world), goal, config.durations)
     if not result.ok:
         for violation in result.violations:
             print(violation.machine_line())
@@ -195,7 +186,3 @@ def main(argv: list[str] | None = None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

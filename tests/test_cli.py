@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aptbot.cli import main
+from aptbot.agent import FULFILLED, PLAN_FAILED, handle_request
+from aptbot.cli import fresh_arm, main
+from aptbot.plan import action_phrase
 from aptbot.prompts import RequestType, default_templates
+from aptbot.scenario import load_scenario
+from aptbot.validator import DurationModel
 from aptbot.world import world_from_config
 from conftest import CANONICAL_PLAN, GOLDEN_DIR, SCENARIO_PATH, child_env
 from stub_server import StubChatServer
@@ -411,9 +415,8 @@ def test_repl_scripted_session(tmp_path):
     )
     proc = run_cli("repl", "--scenario", str(SCENARIO_PATH), stdin_text=stdin_text)
     assert proc.returncode == 0, proc.stderr
-    assert "[9:56pm] Move to the storeroom" in proc.stdout
-    assert "10:07pm charge_start" in proc.stdout
-    assert "status: fulfilled" in proc.stdout
+    golden = [(GOLDEN_DIR / name).read_text(encoding="utf-8") for name in ("plan.txt", "events.txt")]
+    assert proc.stdout == "".join(golden) + "status: fulfilled\n"
 
 
 def test_repl_blank_lines_do_not_consume_script(tmp_path):
@@ -673,3 +676,47 @@ def test_validate_exit_code_is_0_1_or_2_for_any_plan_and_goal(plan, goal):
         path = Path(tmp) / "plan.txt"
         path.write_bytes(plan)
         assert _main_exit_code(["validate", str(path), f"--goal={goal}"]) in (0, 1, 2)
+
+
+# `aptbot validate --world` and the agent's plan stage judge one plan alike:
+# the same durations and tolerance, the same verdict, the same lines.
+ANY_LINE = st.builds(
+    "[{}] {}".format, st.sampled_from(["9:56pm", "11:59pm"]) | st.text(max_size=6), st.text(max_size=12)
+) | st.text(max_size=12)
+
+
+@given(
+    plan=st.just((GOLDEN_DIR / "plan.txt").read_text(encoding="utf-8"))
+    | st.lists(PLAN_LINES | ANY_LINE, min_size=1, max_size=8).map("\n".join)
+    | st.text(),
+    durations=st.dictionaries(st.sampled_from(DurationModel.__slots__), st.integers(0, 3)),
+    tolerance=st.integers(0, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_validate_judges_a_plan_as_the_agents_plan_stage_does(plan, durations, tolerance):
+    raw = copy.deepcopy(MEDICATION)
+    raw["config"] = {"durations": durations, "tolerance": tolerance, "max_retries": 0}
+    raw["script"][2]["response"] = plan
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_path, world_path = Path(tmp) / "plan.txt", Path(tmp) / "world.scenario"
+        plan_path.write_text(plan, encoding="utf-8")
+        world_path.write_text(json.dumps(raw), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["validate", str(plan_path), "--world", str(world_path), f"--goal={GOAL}"])
+        scenario = load_scenario(world_path)
+    outcome = handle_request(
+        scenario.requests[0], scenario.world, fresh_arm(scenario.world), scenario.make_backend(),
+        config=scenario.config, templates=scenario.templates,
+    )
+    lines = [violation.machine_line() for violation in outcome.violations]
+    if code == 0:
+        assert outcome.status == FULFILLED
+        phrases = [line.split("  ", 1)[1] for line in stdout.getvalue().splitlines()]
+        assert phrases == [action_phrase(timed.action) for timed in outcome.plan.actions]
+    elif code == 1:
+        assert outcome.status == PLAN_FAILED and lines
+        assert stdout.getvalue() == "".join(f"{line}\n" for line in lines)
+    else:
+        assert code == 2 and stderr.getvalue().startswith("error: ")
+        assert outcome.status == PLAN_FAILED and not lines
