@@ -41,18 +41,21 @@ def fresh_arm(scenario_world) -> ZArmState:
     return ZArmState(location=scenario_world.charging_room, docked=True)
 
 
+def _plan_and_events(outcome: RequestOutcome) -> tuple[str, str]:
+    """The plan and event-log texts, each newline-terminated, or "" when absent."""
+    plan_text = serialize_plan(outcome.plan) + "\n" if outcome.plan is not None else ""
+    log = outcome.event_log
+    events_text = render_event_log(log) + "\n" if log is not None else ""
+    return plan_text, events_text
+
+
 def _write_outputs(outcome: RequestOutcome, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "transcript.txt").write_text(
         render_transcript(outcome.transcript), encoding="utf-8"
     )
-    plan_text = serialize_plan(outcome.plan) + "\n" if outcome.plan is not None else ""
+    plan_text, events_text = _plan_and_events(outcome)
     (out_dir / "plan.txt").write_text(plan_text, encoding="utf-8")
-    events_text = (
-        render_event_log(outcome.event_log) + "\n"
-        if outcome.event_log is not None
-        else ""
-    )
     (out_dir / "events.txt").write_text(events_text, encoding="utf-8")
 
 
@@ -88,10 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_outcome(outcome: RequestOutcome) -> None:
-    if outcome.plan is not None:
-        print(serialize_plan(outcome.plan))
-    if outcome.event_log is not None:
-        print(render_event_log(outcome.event_log))
+    print(*_plan_and_events(outcome), sep="", end="")
     for violation in outcome.violations:
         print(violation.machine_line())
     if outcome.error:

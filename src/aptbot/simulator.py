@@ -11,13 +11,16 @@ stamped at the action's start, or later if the run is still busy, and never
 past 11:59pm. No plan makes `execute` raise: transcripts stay replayable and
 the agent loop can feed the fault back to the model. A run starts as the
 validator's does (`start_run`), and the log's `final_state` is that run's
-`RunState` as it ended. Inputs are never mutated.
+`RunState` as it ended. Inputs are never mutated. Pick, Fill, Dock and Wait
+events use the serializer's phrase (`action_phrase`): its verb, lowercased,
+is the event's kind and the rest its detail, so a plan line and its event
+line have one wording.
 """
 
 from __future__ import annotations
 
 from .clock import MINUTES_PER_DAY, format_clock
-from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, items_text
+from .plan import ActionPlan, Charge, Deliver, Move, action_phrase, items_text
 from .record import Record
 from .validator import DurationModel, RunState, start_run, walk
 from .world import WorldError, WorldModel, ZArmState
@@ -71,19 +74,13 @@ def execute(
             if kind is Move:
                 events.append(Event(t, "depart", f"{run.location} -> {action.dest}"))
                 events.append(Event(completion, "arrive", action.dest))
-            elif kind is Pick:
-                events.append(Event(t, "pick", f"{action.qty} {action.item}"))
-            elif kind is Fill:
-                events.append(Event(t, "fill", f"{action.container} with {action.source}"))
             elif kind is Deliver:
                 events.append(Event(t, "deliver", f"{items_text(action.items)} to {action.dest}"))
-            elif kind is Dock:
-                events.append(Event(t, "dock", "at the charging port"))
             elif kind is Charge:
                 events.append(Event(t, "charge_start", ""))
-            else:  # Wait
-                unit = "minute" if action.minutes == 1 else "minutes"
-                events.append(Event(t, "wait", f"{action.minutes} {unit}"))
+            else:  # Pick, Fill, Dock and Wait report the plan line's own phrase
+                verb, _, detail = action_phrase(action).partition(" ")
+                events.append(Event(t, verb.lower(), detail))
     except WorldError as exc:  # raised judging the action after the last one yielded
         index, reason = index + 1, str(exc)
     if reason is not None:

@@ -13,8 +13,9 @@ WorldError here: it was not normalized. `validate` returns each action's
 completion minute, in plan order, when the plan is valid, and otherwise
 every violation it finds, never just the first, as stable
 `VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
-faults with the first of them, so a problem has one wording. The deadline
-is checked inside the walk: it notes when the goal delivery completes.
+faults with the first of them, so a problem has one wording. The walk
+knows no goal: `validate` notes when the goal delivery completes as it
+consumes the walk, and checks the deadline after it.
 """
 
 from __future__ import annotations
@@ -104,18 +105,15 @@ def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, s
 
 
 class Violation(Record, frozen=True):
+    """A `kind` violation whose fields print in the order they are given."""
+
     __slots__ = ("kind", "fields")
-    def __init__(self, kind: str, fields: tuple[tuple[str, object], ...] = ()):
-        self.kind, self.fields = kind, fields
+    def __init__(self, kind: str, **fields: object):
+        self.kind, self.fields = kind, tuple(fields.items())
 
     def machine_line(self) -> str:
         parts = [f"{k}={v}" for k, v in self.fields]
         return " ".join(["VIOLATION", self.kind, *parts])
-
-
-def violation(kind: str, **fields: object) -> Violation:
-    """A `kind` violation whose fields print in the order they are given."""
-    return Violation(kind, tuple(fields.items()))
 
 
 class ValidationResult(Record):
@@ -195,12 +193,12 @@ def walk(
         t, action = timed.start, timed.action
         kind, problems = type(action), []
         if last_start <= t < arrival:
-            problems.append(violation(
+            problems.append(Violation(
                 "TravelInfeasible", index=index - 1, needed=arrival - last_start,
                 available=t - last_start,
             ))
         elif t < run.free_at:
-            problems.append(violation("Chronology", index=index))
+            problems.append(Violation("Chronology", index=index))
 
         room = run.location
         if kind is not Move and kind is not Wait:  # every other action needs a room
@@ -211,27 +209,26 @@ def walk(
                 item, qty = (action.item, action.qty) if kind is Pick else (action.source, 1)
                 left = run.stock[(room, item)]
                 if left is not None and left < qty:
-                    problems.append(violation("ItemUnavailable", item=item, room=room))
+                    problems.append(Violation("ItemUnavailable", item=item, room=room))
                 if len(run.payload) + (item not in run.payload) > world.capacity:  # kinds, not units
-                    problems.append(violation("CapacityExceeded", index=index))
+                    problems.append(Violation("CapacityExceeded", index=index))
             elif kind is Deliver:
                 problems.extend(
-                    violation("ItemUnavailable", item=item, room=room)
+                    Violation("ItemUnavailable", item=item, room=room)
                     for item, qty in item_totals(action.items).items()
                     if run.payload.get(item, 0) < qty
                 )
             elif kind is Charge and not run.docked:
-                problems.append(violation("ItemUnavailable", item="charging_port", room=room))
+                problems.append(Violation("ItemUnavailable", item="charging_port", room=room))
 
         completion = t + minutes(world, room, action, durations)
         if completion >= MINUTES_PER_DAY > run.free_at:
-            problems.append(violation("TimeWraparound"))
+            problems.append(Violation("TimeWraparound"))
         yield index, timed, problems, completion
 
         if kind is Move:
             run.location, run.docked, run.charging = action.dest, False, False
-        elif kind is Pick or kind is Fill:
-            left = run.stock[(room, item)]
+        elif kind is Pick or kind is Fill:  # `left` is as judged: nothing wrote `run` since
             if left is not None and left >= qty:
                 run.stock[(room, item)] = left - qty
             run.payload[item] = run.payload.get(item, 0) + qty
@@ -291,10 +288,10 @@ def validate(
         if got.get(item, 0) < qty
     ]
     if missing:
-        violations.append(violation("GoalUnmet", missing=",".join(missing)))
+        violations.append(Violation("GoalUnmet", missing=",".join(missing)))
 
     if delivered_at is not None and abs(delivered_at - goal.target_time) > goal.tolerance:
-        violations.append(violation(
+        violations.append(Violation(
             "DeadlineMissed",
             # A delivery that ends past midnight reads as the next day's time.
             actual=format_clock(delivered_at % MINUTES_PER_DAY),
@@ -303,8 +300,8 @@ def validate(
         ))
 
     if not run.docked:
-        violations.append(violation("NotDockedAtEnd"))
+        violations.append(Violation("NotDockedAtEnd"))
     elif not run.charging:
-        violations.append(violation("NotChargingAtEnd"))
+        violations.append(Violation("NotChargingAtEnd"))
 
     return ValidationResult(None if violations else completions, violations)

@@ -21,7 +21,7 @@ from aptbot.gateway import ScriptedBackend, ScriptEntry, count_tokens
 from aptbot.plan import PlanParseError, serialize_plan
 from aptbot.prompts import parse_goal_slots
 from aptbot.simulator import FAULT, Event, EventLog
-from aptbot.validator import DurationModel, start_run, validate, violation
+from aptbot.validator import DurationModel, Violation, start_run, validate
 from aptbot.world import ZArmState, world_from_config
 from conftest import CANONICAL_PLAN
 
@@ -288,7 +288,7 @@ def test_execution_fault_is_fed_back_until_exhaustion(world, monkeypatch):
 
 def test_replan_feedback_is_deterministic_and_complete():
     failures = [
-        violation("NotDockedAtEnd"),
+        Violation("NotDockedAtEnd"),
         PlanParseError(2, "malformed time", "[9:5xpm] Move"),
         "unknown item 'unobtainium'",
     ]
@@ -325,14 +325,14 @@ def test_replan_feedback_stays_small_whatever_the_reply(world, bad_reply):
 
 
 def test_replan_feedback_counts_the_problems_it_leaves_out():
-    failures = [violation("Chronology", index=i) for i in range(FEEDBACK_PROBLEMS + 3)]
+    failures = [Violation("Chronology", index=i) for i in range(FEEDBACK_PROBLEMS + 3)]
     problems = replan_feedback(failures).split("Problems found:\n", 1)[1].split("\n")
     assert problems[:-1] == [f.machine_line() for f in failures[:FEEDBACK_PROBLEMS]]
     assert problems[-1] == "and 3 more problems"
 
 
 def test_replan_feedback_at_the_cap_counts_nothing_left_out():
-    failures = [violation("Chronology", index=i) for i in range(FEEDBACK_PROBLEMS)]
+    failures = [Violation("Chronology", index=i) for i in range(FEEDBACK_PROBLEMS)]
     problems = replan_feedback(failures).split("Problems found:\n", 1)[1].split("\n")
     assert problems == [f.machine_line() for f in failures]
 

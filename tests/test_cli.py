@@ -419,6 +419,23 @@ def test_repl_scripted_session(tmp_path):
     assert proc.stdout == "".join(golden) + "status: fulfilled\n"
 
 
+def test_repl_session_whose_plan_attempts_run_out(tmp_path):
+    raw = json.loads(SCENARIO_PATH.read_text(encoding="utf-8"))
+    raw["config"] = {"max_retries": 0}
+    reply = raw["script"][2]["response"]
+    raw["script"][2]["response"] = reply.replace("[10:07pm] Start charging\n", "")
+    scenario = tmp_path / "uncharged.scenario"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    stdin_text = raw["requests"][0] + "\n"
+    proc = run_cli("repl", "--scenario", str(scenario), stdin_text=stdin_text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "VIOLATION NotChargingAtEnd\n"
+        "error: plan attempts exhausted\n"
+        "status: plan_failed\n"
+    )
+
+
 def test_repl_blank_lines_do_not_consume_script(tmp_path):
     stdin_text = (
         "\n\n"

@@ -31,7 +31,7 @@ def _value_records():
         TimedAction(600, Pick("aspirin", 2)),
         ActionPlan((TimedAction(600, Move("kitchen")), TimedAction(602, Dock()))),
         Goal((("water", 1),), "bedroom", 1320, tolerance=3),
-        Violation("DeadlineMissed", (("index", 4), ("late_by", 2))),
+        Violation("DeadlineMissed", index=4, late_by=2),
         DurationModel(dock=3),
         ChatMessage("user", "bring water"),
         GenerationParams(temperature=0.5),

@@ -229,6 +229,46 @@ def test_wait_emits_single_event(world):
     assert [e.line() for e in log.events] == ["9:56pm wait 2 minutes"]
 
 
+def test_every_verb_has_its_event_line():
+    world = world_from_config({
+        "facilities": [
+            {"kind": "charging_port", "location": "living_room"},
+            {"kind": "water_cooler", "location": "kitchen", "stock": {"water": None}},
+            {"kind": "medicine_box", "location": "storeroom", "stock": {"vitamin c": 4}},
+        ],
+        "clock_start": "9:54pm",
+    })
+    text = (
+        "[9:54pm] Wait 1 minute\n"
+        "[9:55pm] Move to the storeroom\n"
+        "[9:57pm] Pick 3 vitamin c\n"
+        "[9:58pm] Move to the kitchen\n"
+        "[10:00pm] Fill glass with water\n"
+        "[10:01pm] Wait 2 minutes\n"
+        "[10:03pm] Move to the living room\n"
+        "[10:05pm] Deliver 3 vitamin c and 1 water to the living room\n"
+        "[10:06pm] Dock at the charging port\n"
+        "[10:08pm] Start charging"
+    )
+    log = _run(text, world)
+    assert log.outcome == COMPLETED
+    assert [e.line() for e in log.events] == [
+        "9:54pm wait 1 minute",
+        "9:55pm depart living_room -> storeroom",
+        "9:57pm arrive storeroom",
+        "9:57pm pick 3 vitamin c",
+        "9:58pm depart storeroom -> kitchen",
+        "10:00pm arrive kitchen",
+        "10:00pm fill glass with water",
+        "10:01pm wait 2 minutes",
+        "10:03pm depart kitchen -> living_room",
+        "10:05pm arrive living_room",
+        "10:05pm deliver 3 vitamin c and 1 water to living_room",
+        "10:06pm dock at the charging port",
+        "10:08pm charge_start",
+    ]
+
+
 def test_item_conservation_with_finite_stock(world):
     text = (
         "[9:56pm] Move to the storeroom\n"

@@ -8,10 +8,10 @@ from aptbot.simulator import FAULT, execute
 from aptbot.validator import (
     DurationModel,
     Goal,
+    Violation,
     goal_waypoints,
     start_run,
     validate,
-    violation,
     walk,
 )
 from aptbot.world import WorldError, ZArmState, world_from_config
@@ -58,7 +58,7 @@ def test_a_walk_stopped_at_a_problem_leaves_the_run_as_the_previous_action_did()
             break
     steps.close()
     assert index == 1
-    assert problems == [violation("ItemUnavailable", item="aspirin", room="storeroom")]
+    assert problems == [Violation("ItemUnavailable", item="aspirin", room="storeroom")]
     # As the Move left it: in the storeroom at 9:58pm, nothing picked.
     assert run.stock == world.initial_stock
     assert run.stock[("storeroom", "aspirin")] == 1
@@ -384,6 +384,6 @@ def test_custom_durations_shift_completions(world):
 
 
 def test_violation_machine_line_format():
-    v = violation("TravelInfeasible", index=2, needed=2, available=1)
+    v = Violation("TravelInfeasible", index=2, needed=2, available=1)
     assert v.machine_line() == "VIOLATION TravelInfeasible index=2 needed=2 available=1"
-    assert violation("NotDockedAtEnd").machine_line() == "VIOLATION NotDockedAtEnd"
+    assert Violation("NotDockedAtEnd").machine_line() == "VIOLATION NotDockedAtEnd"
