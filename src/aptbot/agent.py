@@ -75,7 +75,7 @@ class RequestOutcome(Record):
 
 def _failure_line(failure: Violation | PlanParseError | WorldError | str) -> str:
     """One feedback line: a violation's machine line, a parse error's line
-    and reason, or the text of a name the world lacks or of an execution fault."""
+    and reason, or the text of a WorldError or of an execution fault."""
     if isinstance(failure, Violation):
         return failure.machine_line()
     if isinstance(failure, PlanParseError):
@@ -119,7 +119,7 @@ def check_plan(
 ) -> tuple[ActionPlan, ValidationResult]:
     """Parse `text`, normalize it from the arm's room, and validate it from
     the arm's start at the world's clock. Raises PlanParseError, or
-    WorldError for a name the world lacks."""
+    WorldError for a name the world lacks or a take by the wrong verb."""
     plan = normalize(parse_plan(text), world, arm.location)
     start = (arm.location, world.clock_start)
     return plan, validate(plan, world, goal, durations, start, start_docked=arm.docked)
@@ -194,6 +194,8 @@ def handle_request(
         if req_type is RequestType.UNKNOWN:
             raw = session.turns[-1].content
             return outcome(REJECTED_UNKNOWN_TYPE, error=f"unrecognized request type: {raw!r}")
+        if req_type is RequestType.B_APPLIANCE_CONTROL:
+            return outcome(PLAN_FAILED, error="appliance control is not supported")
 
         goal = _exchange(
             backend, session, config, goal_prompt(request),

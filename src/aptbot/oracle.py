@@ -1,17 +1,17 @@
 """Brute-force baseline planner used as ground truth in tests.
 
-Plans one trip: every item is picked up or filled, then all are delivered
-at once. Every ordering of the goal's pickup/fill waypoints (factorial,
-capped at 8) takes the same stop actions and the same tail, so one loop
-ranks each order by its travel alone, from the start room through the
-waypoints to the first tail stop, and keeps the least
-(max(travel, slack), rooms, items). Only the winner is built, shifted so
-the delivery completes as close to the target time as the window allows,
-and only its timing is judged against the deadline window and midnight.
-Each stop action is timed once, by `validator.minutes`. A goal that needs
-more item kinds than the arm carries is refused, though a plan of several
-trips may meet it. Never called on the production path; the model is the
-planner there.
+Plans one trip: every item is taken by the world's take rule
+(`world.POURED`: one Fill per unit, or one Pick), then all are delivered at
+once. Every ordering of the goal's pickup/fill waypoints (factorial, capped
+at 8) takes the same stop actions and the same tail, so one loop ranks each
+order by its travel alone, from the start room through the waypoints to the
+first tail stop, and keeps the least (max(travel, slack), rooms, items).
+Only the winner is built, shifted so the delivery completes as close to the
+target time as the window allows, and only its timing is judged against the
+deadline window and midnight. Each stop action is timed once, by
+`validator.minutes`. A goal that needs more item kinds than the arm carries
+is refused, though a plan of several trips may meet it. Never called on the
+production path; the model is the planner there.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import permutations
 from .clock import MINUTES_PER_DAY
 from .plan import ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction
 from .validator import DurationModel, Goal, goal_waypoints, minutes, start_run
-from .world import WorldModel, travel_time
+from .world import POURED, WorldModel, travel_time
 
 MAX_WAYPOINTS = 8
 
@@ -48,7 +48,7 @@ def plan_oracle(
     # from the same stops. One waypoint per item, so the orders are distinct.
     stops = []
     for room, item, qty, kind in waypoints:
-        fill = kind == "water_cooler"  # one Fill per unit, or one Pick of them all
+        fill = kind == POURED  # one Fill per unit, or one Pick of them all
         action = Fill("glass", item) if fill else Pick(item, qty)
         step = (action, minutes(world, room, action, durations))
         stops.append((room, item, (step,) * (qty if fill else 1)))

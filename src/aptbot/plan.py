@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .clock import ClockParseError, parse_clock, format_clock
 from .record import Record
-from .world import WorldError, WorldModel, item_location, travel_time
+from .world import POURED, WorldError, WorldModel, item_location, travel_time
 
 
 class PlanParseError(ValueError):
@@ -252,12 +252,16 @@ def serialize_plan(plan: ActionPlan) -> str:
 
 
 def required_room(action: Action, world: WorldModel) -> str | None:
-    """Room the action must happen in; None when any room works."""
+    """Room the action must happen in; None when any room works. A take by
+    the wrong verb (`world.POURED`) raises WorldError naming the right one."""
     kind = type(action)
-    if kind is Pick:
-        return item_location(world, action.item).location
-    if kind is Fill:
-        return item_location(world, action.source).location
+    if kind is Pick or kind is Fill:
+        item = action.item if kind is Pick else action.source
+        facility = item_location(world, item)
+        if (facility.kind == POURED) is not (kind is Fill):
+            right = Pick(item, 1) if kind is Fill else Fill("glass", item)
+            raise WorldError(f"{item!r} is taken only by {action_phrase(right)!r}")
+        return facility.location
     if kind is Deliver:
         if action.dest not in world.rooms:
             raise WorldError(f"unknown room {action.dest!r}")
@@ -275,7 +279,7 @@ def normalize(plan: ActionPlan, world: WorldModel, start_room: str) -> ActionPla
     Inserted moves start at the next action's time minus the travel time,
     but not before 12:00am; the validator judges a move left short of time.
     Idempotent; canonical plans come back unchanged. A room or item the
-    world lacks raises WorldError.
+    world lacks, or a take by the wrong verb, raises WorldError.
     """
     if start_room not in world.rooms:
         raise WorldError(f"unknown room {start_room!r}")

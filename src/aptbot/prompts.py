@@ -233,16 +233,6 @@ _MEDICINE_EXAMPLE = (
     "[8:35am] Start charging"
 )
 
-_APPLIANCE_EXAMPLE = (
-    "Request: check on the heater in the bathroom at 6:30am \n"
-    " Plan: \n"
-    "[6:28am] Move to the bathroom \n"
-    "[6:30am] Wait 2 minutes \n"
-    "[6:32am] Move to the living room \n"
-    "[6:34am] Dock at the charging port \n"
-    "[6:36am] Start charging"
-)
-
 _BEVERAGE_EXAMPLE = (
     "Request: bring a glass of water to the bedroom at 3:00pm \n"
     " Plan: \n"
@@ -257,10 +247,9 @@ _BEVERAGE_EXAMPLE = (
 
 
 def default_templates(world: WorldModel) -> dict[RequestType, TemplateEntry]:
-    """One template per known request type, each describing `world`."""
+    """The A and C plan templates, each describing `world`; B is never planned."""
     base = _apartment_description(world)
     return {
         RequestType.A_TAKE_MEDICINE: TemplateEntry(base, _MEDICINE_EXAMPLE),
-        RequestType.B_APPLIANCE_CONTROL: TemplateEntry(base, _APPLIANCE_EXAMPLE),
         RequestType.C_FOOD_BEVERAGE: TemplateEntry(base, _BEVERAGE_EXAMPLE),
     }

@@ -3,18 +3,18 @@
 The simulator trusts plan timestamps: gaps between completion and the next
 start are idle waiting. It runs the validator's `walk`, so timing, rooms,
 travel and the world rules have one definition, and stops it at the first
-problem, before that action changes anything. The run halts with an
-in-band `fault` event: the validator's first `VIOLATION` line for the
-action, or the `WorldError` text of an unknown room or item or of an action
-away from the room it needs (a plan that was not normalized). A fault is
-stamped at the action's start, or later if the run is still busy, and never
-past 11:59pm. No plan makes `execute` raise: transcripts stay replayable and
-the agent loop can feed the fault back to the model. A run starts as the
-validator's does (`start_run`), and the log's `final_state` is that run's
-`RunState` as it ended. Inputs are never mutated. Pick, Fill, Dock and Wait
-events use the serializer's phrase (`action_phrase`): its verb, lowercased,
-is the event's kind and the rest its detail, so a plan line and its event
-line have one wording.
+problem, before that action changes anything. The run halts with an in-band
+`fault` event: the validator's first `VIOLATION` line for the action, or
+the `WorldError` text of an unknown room or item, of a wrong take verb or
+of an action away from the room it needs (a plan that was not normalized).
+A fault is stamped at the action's start, or later if the run is still
+busy, and never past 11:59pm. No plan makes `execute` raise: transcripts
+stay replayable and the agent loop can feed the fault back to the model. A
+run starts as the validator's does (`start_run`), and the log's
+`final_state` is that run's `RunState` as it ended. Inputs are never
+mutated. Pick, Fill, Dock and Wait events use the serializer's phrase
+(`action_phrase`): its verb, lowercased, is the event's kind and the rest
+its detail, so a plan line and its event line have one wording.
 """
 
 from __future__ import annotations

@@ -6,16 +6,16 @@ delivery, docking and charging) live here once: `start_run` starts a run,
 `minutes` times an action, and `walk` finds every problem each action of
 a plan would hit and its completion, then, when resumed, carries it out.
 The validator runs the whole walk, the simulator runs it up to the first
-problem, and the oracle times its stops with `minutes`. Getting the arm to
-the room an action needs (`plan.required_room`) is `normalize`'s job, so
-a plan with an action elsewhere, or an unknown room or item, raises
-WorldError here: it was not normalized. `validate` returns each action's
-completion minute, in plan order, when the plan is valid, and otherwise
-every violation it finds, never just the first, as stable
-`VIOLATION <kind> <fields>` lines the agent can feed back. The simulator
-faults with the first of them, so a problem has one wording. The walk
-knows no goal: `validate` notes when the goal delivery completes as it
-consumes the walk, and checks the deadline after it.
+problem, and the oracle times its stops with `minutes`. Getting the arm
+to the room an action needs (`plan.required_room`) is `normalize`'s job,
+so a plan with an action elsewhere, an unknown room or item, or a wrong
+take verb raises WorldError here: it was not normalized. `validate`
+returns each action's completion minute, in plan order, when the plan is
+valid, and otherwise every violation it finds, never just the first, as
+stable `VIOLATION <kind> <fields>` lines the agent can feed back. The
+simulator faults with the first of them, so a problem has one wording.
+The walk knows no goal: `validate` notes when the goal delivery completes
+as it consumes the walk, and checks the deadline after it.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def item_totals(items: tuple[tuple[str, int], ...]) -> dict[str, int]:
 
 
 def goal_waypoints(world: WorldModel, goal: Goal) -> list[tuple[str, str, int, str]]:
-    """(room, item, total qty, facility kind) per required item; fails naming
-    an unknown destination room, else every unstocked item, else every item
-    the goal needs more of than its facility stocks."""
+    """(room, item, total qty, facility kind) per required item; the kind
+    says how it is taken (`world.POURED`). Fails naming an unknown destination
+    room, else every unstocked item, else every item short of stock."""
     if goal.destination not in world.rooms:
         raise UnachievableGoalError(f"destination room not in the world: {goal.destination}")
     missing, short, out = [], [], []
@@ -181,10 +181,10 @@ def walk(
     timing against the run's, the world rules in the arm's room, and
     `TimeWraparound` on the run's first completion past midnight. An action
     started while the previous Move is under way blames that Move, any other
-    early start is its own `Chronology`. An unknown room or item, or an
-    action away from the room it needs (`required_room`), raises WorldError:
-    a normalized plan has none. Once resumed, Pick, Fill and Deliver go ahead
-    on short stock or payload, so that the validator can keep scanning.
+    early start is its own `Chronology`. What `required_room` refuses, or an
+    action away from the room it needs, raises WorldError: a normalized plan
+    has none. Once resumed, Pick, Fill and Deliver go ahead on short stock
+    or payload, so that the validator can keep scanning.
     """
     # The previous action's start, and when it put the arm in its room: its
     # completion after a Move, else its start.
@@ -260,8 +260,8 @@ def validate(
 
     Reports each action's `walk` problems, then goal coverage, the
     deadline window, and ending docked and charging. The plan must be
-    normalized from `start`'s room (`normalize`): an unknown room or item,
-    or an action away from the room it needs, raises WorldError.
+    normalized from `start`'s room (`normalize`): what `required_room`
+    refuses, or an action away from the room it needs, raises WorldError.
     """
     start_room, clock = start
     violations: list[Violation] = []

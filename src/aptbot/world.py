@@ -17,6 +17,10 @@ from .record import Record
 # Sentinel stock quantity for items that never run out (tap water).
 UNBOUNDED = None
 
+# The take rule: an item stocked by a facility of this kind is taken only by
+# `Fill`, one unit per action; any other item only by `Pick`.
+POURED = "water_cooler"
+
 # The default apartment: five rooms with uniform 2-minute travel. The medicine
 # box (storeroom) stocks aspirin and ibuprofen; the water cooler (kitchen)
 # stocks unbounded water and a glass; the charging port sits in the living room.
@@ -39,7 +43,7 @@ class Facility(Record, frozen=True):
 
 
 DEFAULT_FACILITIES = (
-    Facility("water_cooler", "kitchen", {"water": UNBOUNDED, "glass": UNBOUNDED}),
+    Facility(POURED, "kitchen", {"water": UNBOUNDED, "glass": UNBOUNDED}),
     Facility("medicine_box", "storeroom", {"aspirin": 10, "ibuprofen": 10}),
     Facility("charging_port", "living_room", {}),
 )

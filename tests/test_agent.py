@@ -156,17 +156,36 @@ def test_prompt_over_the_token_budget_fails_before_any_call(world):
     assert outcome.transcript == []
 
 
-def test_goal_no_facility_stocks_ends_before_planning(world):
+def test_appliance_request_ends_after_classification(world):
     backend = ScriptedBackend(
         [
             ScriptEntry(response="(B)", contains="categorize it"),
+            ScriptEntry(
+                response="item=heater; qty=1; companion=none; time=10:02pm; room=bathroom",
+                contains="item=",
+            ),
+        ]
+    )
+    outcome = handle_request("turn on the heater in the bathroom at 10:02pm", world, _arm(), backend)
+    assert outcome.status == PLAN_FAILED
+    assert outcome.error == "appliance control is not supported"
+    assert backend.calls == 1
+    assert outcome.attempts == 0
+    assert len(outcome.transcript) == 2
+    assert not any("item=" in message.content for message in outcome.transcript)
+
+
+def test_goal_no_facility_stocks_ends_before_planning(world):
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(response="(A)", contains="categorize it"),
             ScriptEntry(
                 response="item=none; qty=1; companion=none; time=10:02pm; room=bathroom",
                 contains="item=",
             ),
         ]
     )
-    outcome = handle_request("check on the heater in the bathroom at 10:02pm", world, _arm(), backend)
+    outcome = handle_request("bring my pills to the bathroom at 10:02pm", world, _arm(), backend)
     assert outcome.status == PLAN_FAILED
     assert backend.calls == 2
     assert outcome.attempts == 0
@@ -252,6 +271,11 @@ def test_plan_exhaustion_reports_last_violations(world):
     [
         ("Pick 2 aspirin", "Pick 2 unobtainium", "unknown item 'unobtainium'"),
         ("water to the living room", "water to the attic", "unknown room 'attic'"),
+        # Parses as `Pick 1 water`; the take rule fills water, a unit at a time.
+        (
+            "Fill glass with water", "Pick up a glass of water",
+            "'water' is taken only by 'Fill glass with water'",
+        ),
     ],
 )
 def test_plan_failing_normalize_is_replanned(world, old, new, problem):
@@ -267,6 +291,7 @@ def test_plan_failing_normalize_is_replanned(world, old, new, problem):
     assert problem in outcome.transcript[6].content
     assert outcome.status == FULFILLED
     assert outcome.attempts == 2
+    assert backend.calls == 4
 
 
 def test_execution_fault_is_fed_back_until_exhaustion(world, monkeypatch):

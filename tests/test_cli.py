@@ -148,6 +148,7 @@ BAD_SECTIONS = {
     "description-not-string": ("templates", {"a_take_medicine": {"description": 3}}),
     "description-with-marker": ("templates", {"a_take_medicine": {"description": "see {0}"}}),
     "examples-not-string": ("templates", {"a_take_medicine": {"examples": ["x"]}}),
+    "appliance-template": ("templates", {"b_appliance_control": {"description": "x"}}),
     "request-with-marker": ("requests", ["bring {0} water"]),
 }
 
@@ -171,6 +172,8 @@ def test_run_rejects_bad_world_section_with_exit_2(tmp_path, section, value):
 
 
 NESTED_FIELD_ERRORS = {
+    # A type-B request is never planned, so it has no template to override.
+    "appliance-template": "error: unknown template key 'b_appliance_control'\n",
     "description-not-string":
         "error: template 'a_take_medicine': description must be a string, got 3\n",
     "facility-stock-null":
@@ -353,6 +356,37 @@ def test_validate_plan_with_a_non_decimal_count_names_the_unknown_item(tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: unknown item '² aspirin'\n"
+
+
+def _take_plan(take, item, qty):
+    room = "kitchen" if item == "water" else "storeroom"
+    return (
+        f"[9:54pm] Move to the {room}\n[9:56pm] {take}\n[9:57pm] Move to the living room\n"
+        f"[9:59pm] Deliver {qty} {item} to the living room\n"
+        "[10:00pm] Dock at the charging port\n[10:02pm] Start charging\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "item, qty, take, message",
+    [
+        # From the dock at 9:54pm, two Fills deliver at 10:01pm, a minute past
+        # a tolerance of 0; one Pick of both would deliver on time.
+        ("water", 2, "Pick 2 water", "error: 'water' is taken only by 'Fill glass with water'\n"),
+        ("aspirin", 1, "Fill glass with aspirin", "error: 'aspirin' is taken only by 'Pick 1 aspirin'\n"),
+    ],
+    ids=["pick-of-water", "fill-of-aspirin"],
+)
+def test_validate_take_by_the_wrong_verb_exits_2_naming_the_right_one(
+    tmp_path, item, qty, take, message
+):
+    plan = tmp_path / "take.txt"
+    plan.write_text(_take_plan(take, item, qty))
+    scenario = tmp_path / "strict.scenario"
+    scenario.write_text(json.dumps({"config": {"tolerance": 0}}))
+    goal = f"item={item}; qty={qty}; companion=none; time=10:00pm; room=living room"
+    proc = run_cli("validate", str(plan), "--world", str(scenario), "--goal", goal)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_validate_move_too_early_for_the_day_is_judged_as_a_violation(tmp_path):

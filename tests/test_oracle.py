@@ -5,12 +5,15 @@ from itertools import permutations
 import pytest
 
 import aptbot.oracle
+from aptbot.agent import check_plan
 from aptbot.clock import MINUTES_PER_DAY, parse_clock
 from aptbot.oracle import plan_oracle
-from aptbot.plan import Charge, Deliver, Dock, Fill, Move, TimedAction, serialize_plan
-from aptbot.simulator import COMPLETED, execute
+from aptbot.plan import (
+    ActionPlan, Charge, Deliver, Dock, Fill, Move, Pick, TimedAction, serialize_plan,
+)
+from aptbot.simulator import COMPLETED, FAULT, execute
 from aptbot.validator import DurationModel, Goal, UnachievableGoalError, goal_waypoints, validate
-from aptbot.world import ZArmState, travel_time, world_from_config
+from aptbot.world import WorldError, ZArmState, travel_time, world_from_config
 from conftest import CANONICAL_PLAN, small_world
 from oracle_reference import reference_enumerate_feasible, reference_plan_oracle
 
@@ -243,6 +246,33 @@ def _travels_more(world, goal, start, plan):
     return _travel(world, route) > least
 
 
+def _refuses_each_wrong_take_verb(plan, world, goal, durations, arm):
+    """Switch each take action of an oracle plan to the other verb, one at a
+    time: the plan check refuses it as a WorldError naming the oracle's verb,
+    and `execute` faults with the same text. Returns the number switched."""
+    switched = 0
+    for index, timed in enumerate(plan.actions):
+        action = timed.action
+        if type(action) is Pick:
+            item, wrong = action.item, Fill("glass", action.item)
+        elif type(action) is Fill:
+            item, wrong = action.source, Pick(action.source, 1)
+        else:
+            continue
+        actions = list(plan.actions)
+        actions[index] = TimedAction(timed.start, wrong)
+        bad = ActionPlan(tuple(actions))
+        with pytest.raises(WorldError) as refused:
+            check_plan(serialize_plan(bad), world, arm, goal, durations)
+        assert str(refused.value).startswith(
+            f"{item!r} is taken only by '{type(action).__name__} "
+        ), refused.value
+        log = execute(bad, world, arm, durations)
+        assert (log.outcome, log.events[-1].detail) == (FAULT, str(refused.value))
+        switched += 1
+    return switched
+
+
 def test_oracle_equals_the_reference_oracle_on_random_worlds():
     """Same best plan or refusal as the permutation oracle that built each
     plan twice and ranked a list of candidates (`oracle_reference`)."""
@@ -294,6 +324,9 @@ def test_oracle_equals_the_reference_oracle_on_random_worlds():
             assert result.ok, result.violations
             starts = [timed.start for timed in best.actions]
             assert starts[1:] == result.completions[:-1]
+            seen["wrong take verb"] += _refuses_each_wrong_take_verb(
+                best, world, goal, durations, ZArmState(start[0], docked=docked)
+            )
 
         seen["multi-unit fill"] += any(
             item in ("water", "glass") and qty > 1 for item, qty in deliveries
@@ -314,6 +347,7 @@ def test_oracle_equals_the_reference_oracle_on_random_worlds():
     for case in (
         "multi-unit fill", "docked start", "delivered to the port", "near midnight", "planned",
         "no order fits", "refused at midnight", "winner travels more than the least",
+        "wrong take verb",
     ):
         assert seen[case] >= 10, seen
 

@@ -29,7 +29,7 @@ from aptbot.plan import (
     serialize_plan,
 )
 from aptbot.validator import DurationModel, Goal, validate
-from aptbot.world import WorldError, world_from_config
+from aptbot.world import POURED, WorldError, world_from_config
 from conftest import CANONICAL_PLAN
 
 
@@ -202,6 +202,25 @@ def test_normalize_rejects_unknown_item(world):
         normalize(plan, world, "living_room")
 
 
+@pytest.mark.parametrize(
+    "phrase, message",
+    [
+        ("Pick 2 water", "'water' is taken only by 'Fill glass with water'"),
+        ("Pick 1 glass", "'glass' is taken only by 'Fill glass with glass'"),  # the cooler's
+        ("Fill glass with aspirin", "'aspirin' is taken only by 'Pick 1 aspirin'"),
+    ],
+)
+def test_normalize_rejects_a_take_by_the_wrong_verb(world, phrase, message):
+    with pytest.raises(WorldError) as refused:
+        normalize(parse_plan(f"[9:58pm] {phrase}"), world, "living_room")
+    assert str(refused.value) == message
+
+
+def test_fill_container_is_never_judged(world):
+    plan = parse_plan("[9:58pm] Fill thermos with glass")
+    assert normalize(plan, world, "kitchen") == plan
+
+
 def test_normalize_rejects_unknown_move_destination(world):
     plan = parse_plan("[9:56pm] Move to the attic")
     with pytest.raises(WorldError, match="unknown room 'attic'"):
@@ -215,12 +234,15 @@ def test_normalize_rejects_unknown_start_room(world):
 
 
 def _random_named_action(rng, world):
-    """One action naming only the world's rooms and items."""
+    """One action naming only the world's rooms and items, each item taken
+    by the verb the take rule gives it (`world.POURED`)."""
     rooms, items = world.rooms, sorted(world.facility_of)
+    poured = [item for item in items if world.facility_of[item].kind == POURED]
+    picked = [item for item in items if item not in poured]
     return rng.choice([
         lambda: Move(rng.choice(rooms)),
-        lambda: Pick(rng.choice(items), rng.randint(1, 3)),
-        lambda: Fill("glass", rng.choice(items)),
+        lambda: Pick(rng.choice(picked), rng.randint(1, 3)),
+        lambda: Fill("glass", rng.choice(poured)),
         lambda: Deliver(((rng.choice(items), rng.randint(1, 3)),), rng.choice(rooms)),
         lambda: Dock(),
         lambda: Charge(),

@@ -412,6 +412,7 @@ _FAULT_DETAIL = re.compile(
     r"|TimeWraparound)"
     r"|unknown (?:room|item) '\w+'"
     r"|action needs room '\w+', arm is in '\w+'"
+    r"|'\w+' is taken only by '(?:Fill glass with \w+|Pick 1 \w+)'"
 )
 
 
