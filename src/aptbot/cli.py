@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repl = sub.add_parser("repl", help="interactive request loop")
     p_repl.add_argument(
-        "--scenario", help="scenario file providing world, templates, and script"
+        "--scenario", help="scenario file providing world, script and config"
     )
     p_repl.set_defaults(func=_cmd_repl)
 

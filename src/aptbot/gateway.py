@@ -127,23 +127,19 @@ def complete(
 
 
 class ScriptEntry(Record):
-    """One canned response, matched by exact text, substring, or call index."""
+    """One canned response, matched by a substring of the prompt or by the
+    one-based call index."""
 
-    __slots__ = ("response", "exact", "contains", "step", "consumed")
-    def __init__(
-        self, response: str, exact: str | None = None, contains: str | None = None,
-        step: int | None = None,
-    ):
-        self.response, self.exact, self.contains = response, exact, contains
-        self.step, self.consumed = step, False
-        if (exact, contains, step).count(None) != 2:
-            raise ValueError("match needs exactly one of exact/contains/step")
+    __slots__ = ("response", "contains", "step", "consumed")
+    def __init__(self, response: str, contains: str | None = None, step: int | None = None):
+        self.response, self.contains, self.step = response, contains, step
+        self.consumed = False
+        if (contains is None) is (step is None):
+            raise ValueError("match needs exactly one of contains/step")
         if step is not None and step < 1:  # call indices are one-based
             raise ValueError(f"step must be at least 1, got {step}")
 
     def matches(self, prompt: str, call_index: int) -> bool:
-        if self.exact is not None:
-            return prompt == self.exact
         if self.contains is not None:
             return self.contains in prompt
         return self.step == call_index

@@ -21,7 +21,7 @@ from .clock import parse_clock, ClockParseError
 from .plan import read_count, room_id, room_text
 from .record import Record
 from .validator import Goal
-from .world import WorldModel
+from .world import PORT, WorldModel
 
 # Fixed scaffold with positional slots {0}=description, {1}=examples,
 # {2}=question. Do not "fix" the spacing; it is part of the contract.
@@ -140,7 +140,8 @@ def parse_goal_slots(text: str, *, tolerance: int = 5) -> Goal:
         m = pattern.search(text)
         if m is None:
             raise GoalSlotError(f"missing slot {key!r}", text)
-        values[key] = m.group(1).strip()
+        # One trailing period is the sentence's end, not part of the value.
+        values[key] = m.group(1).strip().removesuffix(".").rstrip()
     if not values["qty"].isdecimal():  # as a plan count: no sign, no "_"
         raise GoalSlotError("qty is not an integer", text)
     try:
@@ -197,13 +198,12 @@ def _apartment_description(world: WorldModel) -> str:
     rooms = ", ".join(room_text(r) for r in world.rooms)
     placements = []
     for f in world.facilities:
-        if f.kind == "charging_port":
+        if f.kind == PORT:
             placements.append(f"the charging port is in the {room_text(f.location)}")
         else:
             stocked = ", ".join(sorted(f.stock))
-            kind = f.kind.replace("_", " ")
             note = f" stocking {stocked}" if stocked else ""
-            placements.append(f"the {kind} in the {room_text(f.location)}{note}")
+            placements.append(f"the {room_text(f.kind)} in the {room_text(f.location)}{note}")
     hops = max(
         (m for (a, b), m in world.travel.items() if a != b),
         default=0,
@@ -247,7 +247,8 @@ _BEVERAGE_EXAMPLE = (
 
 
 def default_templates(world: WorldModel) -> dict[RequestType, TemplateEntry]:
-    """The A and C plan templates, each describing `world`; B is never planned."""
+    """The A and C plan templates, each describing `world`; B is never planned.
+    A scenario's templates are these, built once when it is loaded."""
     base = _apartment_description(world)
     return {
         RequestType.A_TAKE_MEDICINE: TemplateEntry(base, _MEDICINE_EXAMPLE),

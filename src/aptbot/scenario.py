@@ -1,4 +1,4 @@
-"""Scenario files: a world, prompt templates, a response script, requests.
+"""Scenario files: a world, a response script, requests and config.
 
 A scenario is one JSON document driving a reproducible run. Its script is
 checked once, at load; every run gets a backend holding fresh copies of the
@@ -18,7 +18,7 @@ from .record import Record
 from .validator import DurationModel
 from .world import WorldError, WorldModel, typed, world_from_config
 
-_TOP_KEYS = {"world", "templates", "script", "requests", "config"}
+_TOP_KEYS = {"world", "script", "requests", "config"}
 _CONFIG_KEYS = {
     "max_retries", "tolerance", "token_budget", "temperature", "max_output_tokens", "model",
     "durations",
@@ -40,29 +40,8 @@ class Scenario(Record, frozen=True):
 
     def make_backend(self) -> ScriptedBackend:
         """Fresh backend with unconsumed copies of the script entries."""
-        entries = [ScriptEntry(e.response, e.exact, e.contains, e.step) for e in self.script]
+        entries = [ScriptEntry(e.response, e.contains, e.step) for e in self.script]
         return ScriptedBackend(entries)
-
-
-def _merge_templates(world: WorldModel, overrides: dict) -> dict[RequestType, TemplateEntry]:
-    entries = default_templates(world)
-    for key, override in overrides.items():
-        req_type = RequestType.__members__.get(key.upper())
-        if req_type not in entries:  # only a type that is planned (A, C) has one
-            raise ScenarioError(f"unknown template key {key!r}")
-        if not set(override) <= {"description", "examples"}:
-            raise ScenarioError(
-                f"template {key!r} allows only description and examples"
-            )
-        base = entries[req_type]
-        try:
-            entries[req_type] = TemplateEntry(
-                description=typed(override, "description", str, base.description),
-                examples=typed(override, "examples", str, base.examples),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"template {key!r}: {exc}") from None
-    return entries
 
 
 def _read_script(entries: list):
@@ -72,10 +51,10 @@ def _read_script(entries: list):
             if type(entry) is not dict or set(entry) != {"match", "response"}:
                 raise ScenarioError("must have exactly match and response")
             match = typed(entry, "match", dict)
-            if not set(match) <= {"exact", "contains", "step"}:
-                raise ScenarioError("match allows only exact, contains and step")
-            yield ScriptEntry(typed(entry, "response", str), typed(match, "exact", str),
-                              typed(match, "contains", str), typed(match, "step", int))
+            if not set(match) <= {"contains", "step"}:
+                raise ScenarioError("match allows only contains and step")
+            yield ScriptEntry(typed(entry, "response", str), typed(match, "contains", str),
+                              typed(match, "step", int))
         except ValueError as exc:
             raise ScenarioError(f"script entry {index}: {exc}") from None
 
@@ -123,7 +102,7 @@ def parse_scenario(raw: dict) -> Scenario:
             check_slots(request=request)
         return Scenario(
             world=world,
-            templates=_merge_templates(world, typed(raw, "templates", dict, {}, item=dict)),
+            templates=default_templates(world),
             script=tuple(_read_script(typed(raw, "script", list, []))),
             requests=tuple(requests),
             config=_build_config(typed(raw, "config", dict, {})),

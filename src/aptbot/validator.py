@@ -38,7 +38,7 @@ from .plan import (
     required_room,
 )
 from .record import Record
-from .world import WorldError, WorldModel, item_location, travel_time
+from .world import PORT, WorldError, WorldModel, item_location, travel_time
 
 
 class DurationModel(Record, frozen=True):
@@ -219,7 +219,7 @@ def walk(
                     if run.payload.get(item, 0) < qty
                 )
             elif kind is Charge and not run.docked:
-                problems.append(Violation("ItemUnavailable", item="charging_port", room=room))
+                problems.append(Violation("ItemUnavailable", item=PORT, room=room))
 
         completion = t + minutes(world, room, action, durations)
         if completion >= MINUTES_PER_DAY > run.free_at:

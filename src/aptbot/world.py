@@ -20,6 +20,8 @@ UNBOUNDED = None
 # The take rule: an item stocked by a facility of this kind is taken only by
 # `Fill`, one unit per action; any other item only by `Pick`.
 POURED = "water_cooler"
+# The one facility kind a world must have exactly one of: where the arm docks.
+PORT = "charging_port"
 
 # The default apartment: five rooms with uniform 2-minute travel. The medicine
 # box (storeroom) stocks aspirin and ibuprofen; the water cooler (kitchen)
@@ -45,7 +47,7 @@ class Facility(Record, frozen=True):
 DEFAULT_FACILITIES = (
     Facility(POURED, "kitchen", {"water": UNBOUNDED, "glass": UNBOUNDED}),
     Facility("medicine_box", "storeroom", {"aspirin": 10, "ibuprofen": 10}),
-    Facility("charging_port", "living_room", {}),
+    Facility(PORT, "living_room", {}),
 )
 
 
@@ -92,9 +94,9 @@ class WorldModel(
                 if item in facility_of:
                     raise WorldError(f"item {item!r} stocked in more than one facility")
                 facility_of[item] = f
-        ports = [f.location for f in self.facilities if f.kind == "charging_port"]
+        ports = [f.location for f in self.facilities if f.kind == PORT]
         if len(ports) != 1:
-            raise WorldError(f"world needs exactly one charging_port facility, has {len(ports)}")
+            raise WorldError(f"world needs exactly one {PORT} facility, has {len(ports)}")
         self.facility_of = facility_of
         self.charging_room = ports[0]
         # (room, item) -> quantity at the start of every run; None means unbounded

@@ -147,6 +147,20 @@ def test_malformed_goal_reply_is_repaired(world):
     assert outcome.attempts == 1
 
 
+def test_goal_reply_ending_with_a_period_is_planned(world):
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(response="(A)", contains="categorize it"),
+            ScriptEntry(response=SLOT_LINE + ".", contains="item="),
+            ScriptEntry(response=CANONICAL_PLAN, contains="Current context:"),
+        ]
+    )
+    outcome = handle_request(REQUEST, world, _arm(), backend)
+    assert outcome.status == FULFILLED
+    assert backend.calls == 3
+    assert outcome.attempts == 1
+
+
 def test_prompt_over_the_token_budget_fails_before_any_call(world):
     backend = _happy_backend()
     outcome = handle_request(REQUEST, world, _arm(), backend, config=AgentConfig(token_budget=10))

@@ -145,10 +145,9 @@ BAD_SECTIONS = {
     "step-not-int": ("script", [{"match": {"step": "x"}, "response": "(A)"}]),
     "step-zero": ("script", [{"match": {"step": 0}, "response": "(A)"}]),
     "step-bool": ("script", [{"match": {"step": True}, "response": "(A)"}]),
-    "description-not-string": ("templates", {"a_take_medicine": {"description": 3}}),
-    "description-with-marker": ("templates", {"a_take_medicine": {"description": "see {0}"}}),
-    "examples-not-string": ("templates", {"a_take_medicine": {"examples": ["x"]}}),
-    "appliance-template": ("templates", {"b_appliance_control": {"description": "x"}}),
+    "exact-matcher": ("script", [{"match": {"exact": "x"}, "response": "(A)"}]),
+    # The plan templates come from the world alone; a file cannot replace them.
+    "templates-section": ("templates", {"a_take_medicine": {"description": "x"}}),
     "request-with-marker": ("requests", ["bring {0} water"]),
 }
 
@@ -164,18 +163,15 @@ def test_run_rejects_bad_world_section_with_exit_2(tmp_path, section, value):
     proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    prefix = {"world": "error: world section:", "script": "error: script entry 0:"}.get(
-        section, "error:"
-    )
+    prefix = {
+        "world": "error: world section:", "script": "error: script entry 0:",
+        "templates": "error: unknown scenario keys: ['templates']\n",
+    }.get(section, "error:")
     assert proc.stderr.startswith(prefix)
     assert proc.stderr.count("\n") == 1
 
 
 NESTED_FIELD_ERRORS = {
-    # A type-B request is never planned, so it has no template to override.
-    "appliance-template": "error: unknown template key 'b_appliance_control'\n",
-    "description-not-string":
-        "error: template 'a_take_medicine': description must be a string, got 3\n",
     "facility-stock-null":
         "error: world section: facility 'water_cooler': stock must be an object, got None\n",
     "facility-kind-not-string":
@@ -628,7 +624,6 @@ JSON_VALUES = st.recursive(
 )
 SECTION_KEYS = {
     "world": ["rooms", "travel", "facilities", "stock", "clock_start", "capacity"],
-    "templates": ["a_take_medicine", "b_appliance_control", "c_food_beverage"],
     "config": ["max_retries", "tolerance", "token_budget", "temperature",
                "max_output_tokens", "model", "durations"],
     "script": [],

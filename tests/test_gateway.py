@@ -151,7 +151,6 @@ def test_complete_refuses_a_reply_that_is_not_utf8_text():
 def test_scripted_backend_matchers():
     backend = ScriptedBackend(
         [
-            ScriptEntry(response="by-exact", exact="hello"),
             ScriptEntry(response="by-contains", contains="need"),
             ScriptEntry(response="by-step", step=3),
         ]
@@ -160,7 +159,8 @@ def test_scripted_backend_matchers():
     def ask(text):
         return backend.generate([ChatMessage("user", text)], PARAMS)
 
-    assert ask("hello") == "by-exact"
+    with pytest.raises(ScriptExhaustedError):
+        ask("hello")
     assert ask("I need this") == "by-contains"
     assert ask("anything") == "by-step"
 
@@ -173,7 +173,7 @@ def test_scripted_backend_entries_consume_once():
 
 
 def test_scripted_backend_matches_last_user_message():
-    backend = ScriptedBackend([ScriptEntry(response="ok", exact="latest")])
+    backend = ScriptedBackend([ScriptEntry(response="ok", contains="latest")])
     messages = [
         ChatMessage("user", "earlier"),
         ChatMessage("assistant", "mid"),
@@ -193,7 +193,6 @@ def _reference_generate(entries, consumed, prompt, call_index):
 
 SCRIPT_TEXTS = st.sampled_from(["a", "b", "ab", "ba", "c"])
 SCRIPT_ENTRIES = st.one_of(
-    st.builds(lambda text: {"exact": text}, SCRIPT_TEXTS),
     st.builds(lambda text: {"contains": text}, SCRIPT_TEXTS),
     st.builds(lambda step: {"step": step}, st.integers(min_value=1, max_value=12)),
 )
@@ -235,7 +234,7 @@ def test_scripted_backend_does_bounded_work_per_call_on_an_in_order_script():
         def consumed(self, value):
             self._consumed = value
 
-    entries = [CountedEntry(response=f"r{i}", exact=f"p{i}") for i in range(200)]
+    entries = [CountedEntry(response=f"r{i}", contains=f"p{i}") for i in range(200)]
     backend = ScriptedBackend(entries)
     spy = mock.patch.object(
         ScriptEntry, "matches", autospec=True, side_effect=ScriptEntry.matches
@@ -253,7 +252,7 @@ def test_script_entry_requires_exactly_one_matcher():
     with pytest.raises(ValueError):
         ScriptEntry(response="r")
     with pytest.raises(ValueError):
-        ScriptEntry(response="r", exact="a", contains="b")
+        ScriptEntry(response="r", contains="a", step=1)
 
 
 def test_http_backend_wire_shape():

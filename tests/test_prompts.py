@@ -200,6 +200,13 @@ def test_goal_slots_round_trip(medication_goal):
     assert parse_goal_slots(line) == medication_goal
 
 
+def test_goal_slot_values_drop_one_trailing_period(medication_goal):
+    line = "item=aspirin.; qty=2.; companion=water.; time=10:00pm.; room=living room ."
+    assert parse_goal_slots(line) == medication_goal
+    doubled = "item=aspirin; qty=2; companion=water; time=10:00pm; room=living room.."
+    assert parse_goal_slots(doubled).destination == "living_room."
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from aptbot.gateway import ChatMessage, GenerationParams
-from aptbot.prompts import RequestType
+from aptbot.prompts import default_templates
 from aptbot.scenario import ScenarioError, load_scenario, parse_scenario
 from aptbot.validator import DurationModel
 
@@ -53,30 +53,12 @@ def test_world_section_errors_are_wrapped():
     assert "world section" in str(exc_info.value)
 
 
-def test_template_override_merges_onto_defaults():
-    scenario = parse_scenario(
-        {"templates": {"A_take_medicine": {"description": "custom description"}}}
-    )
-    entry = scenario.templates[RequestType.A_TAKE_MEDICINE]
-    assert entry.description == "custom description"
-    assert "Request:" in entry.examples
-    untouched = scenario.templates[RequestType.C_FOOD_BEVERAGE]
-    assert "z-arm" in untouched.description
-
-
-def test_template_override_may_set_both_keys():
-    scenario = parse_scenario(
-        {"templates": {"A_take_medicine": {"description": "desc", "examples": "ex"}}}
-    )
-    entry = scenario.templates[RequestType.A_TAKE_MEDICINE]
-    assert (entry.description, entry.examples) == ("desc", "ex")
-
-
 def test_template_override_unknown_key_rejected():
-    with pytest.raises(ScenarioError):
-        parse_scenario({"templates": {"D_party_planning": {"description": "x"}}})
-    with pytest.raises(ScenarioError):
-        parse_scenario({"templates": {"A_take_medicine": {"descriptionn": "x"}}})
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"templates": {"A_take_medicine": {"description": "x"}}})
+    assert str(info.value) == "unknown scenario keys: ['templates']"
+    scenario = parse_scenario({"world": {"travel": {"kitchen,bedroom": 5}}})
+    assert scenario.templates == default_templates(scenario.world)
 
 
 def test_config_section_round_trip():
@@ -159,12 +141,13 @@ def test_bad_script_entry_fails_at_load():
         parse_scenario({"script": [{"response": "r"}]})
     with pytest.raises(ScenarioError) as info:
         parse_scenario({"script": [{"match": {}, "response": "r"}]})
-    assert str(info.value) == "script entry 0: match needs exactly one of exact/contains/step"
+    assert str(info.value) == "script entry 0: match needs exactly one of contains/step"
     with pytest.raises(ScenarioError) as info:
-        parse_scenario({"script": [
-            {"match": {"exact": "a", "contains": "b", "step": 1}, "response": "r"}
-        ]})
-    assert str(info.value) == "script entry 0: match needs exactly one of exact/contains/step"
+        parse_scenario({"script": [{"match": {"contains": "b", "step": 1}, "response": "r"}]})
+    assert str(info.value) == "script entry 0: match needs exactly one of contains/step"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"script": [{"match": {"exact": "a"}, "response": "r"}]})
+    assert str(info.value) == "script entry 0: match allows only contains and step"
 
 
 def test_scenario_world_override(tmp_path):
